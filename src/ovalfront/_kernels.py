@@ -1,16 +1,15 @@
-"""NumPy reference implementations of the sampling kernels.
-
-This module is the fallback backend.  ``ovalfront._kernels`` re-exports the
-compiled versions from ``_native`` when the extension was built; both
-backends implement exactly the same contracts and are cross-checked in the
-test suite.
+"""Sampling kernels: trigonometric polynomial evaluation, periodic finite
+differences and hysteresis sign-change scanning, in NumPy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["trig_eval", "periodic_deriv", "transitions"]
+__all__ = ["trig_eval", "periodic_deriv", "transitions", "BACKEND"]
+
+# the one implementation; reported as ``ovalfront.kernel_backend``
+BACKEND = "reference"
 
 
 def trig_eval(cos_amps, sin_amps, x, deriv=0):

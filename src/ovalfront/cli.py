@@ -26,15 +26,16 @@ from .curves import (
     average_curvature,
     curvature_profile,
     defect_value,
+    gauss_bonnet_residual,
+    mean_attainment_front_check,
     radius_profile,
+    space_form,
 )
 from .errors import (
     DegenerateProfileError,
     InvalidSpecError,
-    NotBisectingError,
     NotHorocyclicallyConvexError,
     OvalfrontError,
-    SpecFormatError,
 )
 from .harmonics import spectrum, verify_sturm_hurwitz
 from .hyperbolic import (
@@ -50,8 +51,6 @@ from .hyperbolic import (
 from .sphere import (
     check_regular_embedded,
     equatorial_front,
-    gauss_bonnet_residual,
-    mean_attainment_front_check,
     propagate_sphere,
     tennis_ball_check,
     total_torsion,
@@ -184,21 +183,20 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
+def _by_K(curve, plane, sphere, hyperboloid):
+    """The entry for the curve's geometry: K = 0, +1 and -1 index the three."""
+    return (plane, sphere, hyperboloid)[space_form(curve.geometry).K]
+
+
 def _front_for(curve, t: float):
-    if curve.geometry == EUCLIDEAN:
-        return propagate(curve, t)
-    if curve.geometry == SPHERICAL:
-        return propagate_sphere(curve, t)
-    return propagate_hyperbolic(curve, t)
+    return _by_K(curve, propagate, propagate_sphere, propagate_hyperbolic)(curve, t)
 
 
-def _write_curve_svg(path, curve) -> None:
-    if curve.geometry == EUCLIDEAN:
-        specio.write_plane_svg(path, [curve])
-    elif curve.geometry == SPHERICAL:
-        specio.write_sphere_svg(path, [curve])
-    else:
-        specio.write_klein_svg(path, [curve])
+def _write_curve_svg(path, curves) -> None:
+    """Plane drawing, orthographic sphere view or Klein disc, by geometry."""
+    writer = _by_K(curves[0], specio.write_plane_svg, specio.write_sphere_svg,
+                   specio.write_klein_svg)
+    writer(path, curves)
 
 
 # ---------------------------------------------------------------------------
@@ -249,26 +247,25 @@ def cmd_analyze(cfg: RunConfig) -> int:
         specio.write_spectrum_csv(out / "analyze_spectrum.csv", sp)
         specio.write_curve_csv(out / "analyze_curve.csv", curve)
     if "svg" in cfg.formats:
-        _write_curve_svg(out / "analyze_curve.svg", curve)
+        _write_curve_svg(out / "analyze_curve.svg", [curve])
     if "json" in cfg.formats:
         specio.write_json_report(out / "analyze_report.json", report)
     return EXIT_PASS
 
 
 def _closed_form_lengths(curve, t: float):
-    if curve.geometry == EUCLIDEAN:
-        return curve.L + TWO_PI * t, curve.A + curve.L * t + np.pi * t * t
-    if curve.geometry == SPHERICAL:
-        b = TWO_PI - curve.A
-        return (
-            curve.L * np.cos(t) + b * np.sin(t),
-            TWO_PI + curve.L * np.sin(t) - b * np.cos(t),
-        )
-    b = TWO_PI + curve.A
-    return (
-        curve.L * np.cosh(t) + b * np.sinh(t),
-        -TWO_PI + curve.L * np.sinh(t) + b * np.cosh(t),
-    )
+    """Steiner closed forms: the signed length and area of the front at t.
+
+    L_t = L c_K + (2 pi - K A) s_K.  A_t = A + L t + pi t^2 in the plane, and
+    K 2 pi + L s_K - K (2 pi - K A) c_K for K = +-1, where 1/K = K.
+    """
+    form = space_form(curve.geometry)
+    c, s = form.c(t), form.s(t)
+    b = TWO_PI - form.K * curve.A
+    length = curve.L * c + b * s
+    if form.K == 0:
+        return length, curve.A + curve.L * t + np.pi * t * t
+    return length, form.K * TWO_PI + curve.L * s - form.K * b * c
 
 
 def cmd_propagate(cfg: RunConfig) -> int:
@@ -298,12 +295,7 @@ def cmd_propagate(cfg: RunConfig) -> int:
         if "csv" in cfg.formats:
             specio.write_front_csv(out / f"front_{i:03d}.csv", front)
     if "svg" in cfg.formats:
-        if curve.geometry == EUCLIDEAN:
-            specio.write_plane_svg(out / "propagate_fronts.svg", [curve, *fronts])
-        elif curve.geometry == SPHERICAL:
-            specio.write_sphere_svg(out / "propagate_fronts.svg", [curve, *fronts])
-        else:
-            specio.write_klein_svg(out / "propagate_fronts.svg", [curve, *fronts])
+        _write_curve_svg(out / "propagate_fronts.svg", [curve, *fronts])
     if "json" in cfg.formats:
         specio.write_json_report(
             out / "propagate_report.json",
@@ -326,6 +318,36 @@ class _Suite:
     @property
     def passed(self) -> bool:
         return all(c["passed"] is not False for c in self.checks)
+
+
+def _add_front_checks(suite: _Suite, curve, tol: float, t_values, semigroup_times=None) -> None:
+    """Defect invariance and the front mean-curvature lemma over ``t_values``.
+
+    The plane lemma uses its closed form; the curved geometries measure it
+    on the fronts and also check the semigroup law at ``semigroup_times``.
+    """
+    defects = [defect_value(curve.geometry, f.signed_length, f.area)
+               for f in (_front_for(curve, t) for t in t_values)]
+    _add_defect_check(suite, curve, defects, tol)
+
+    lemma_check = _by_K(curve, propagation_lemma_check, mean_attainment_front_check,
+                        mean_attainment_front_check_h)
+    try:
+        lemma = lemma_check(curve, t_values)
+        suite.add(
+            "front_mean_curvature_lemma",
+            bool(lemma.max_deviation < tol),
+            max_deviation=lemma.max_deviation,
+        )
+    except DegenerateProfileError:
+        suite.add("front_mean_curvature_lemma", None, note="circle")
+
+    if semigroup_times is not None:
+        a, b = semigroup_times
+        two_step = _front_for(_front_for(curve, a), b)
+        one_step = _front_for(curve, a + b)
+        gap = float(np.max(np.linalg.norm(two_step.points - one_step.points, axis=1)))
+        suite.add("semigroup", bool(gap < 1e-8), pointwise_gap=gap)
 
 
 def _add_defect_check(suite: _Suite, curve, defects, tol: float) -> None:
@@ -408,19 +430,7 @@ def _verify_euclidean(curve, tol: float, t_values) -> _Suite:
         max_rel_area=steiner.max_rel_area,
     )
 
-    defects = [defect_value(EUCLIDEAN, f.signed_length, f.area)
-               for f in (propagate(curve, t) for t in t_values)]
-    _add_defect_check(suite, curve, defects, tol)
-
-    try:
-        lemma = propagation_lemma_check(curve, t_values)
-        suite.add(
-            "front_mean_curvature_lemma",
-            bool(lemma.max_deviation < tol),
-            max_deviation=lemma.max_deviation,
-        )
-    except DegenerateProfileError:
-        suite.add("front_mean_curvature_lemma", None, note="circle")
+    _add_front_checks(suite, curve, tol, t_values)
 
     try:
         crit = critical_front(curve)
@@ -440,25 +450,7 @@ def _verify_spherical(curve, tol: float, t_values) -> _Suite:
     gb = gauss_bonnet_residual(curve)
     suite.add("gauss_bonnet", bool(gb < tol), residual=gb)
 
-    fronts = [propagate_sphere(curve, t) for t in t_values]
-    defects = [defect_value(SPHERICAL, f.signed_length, f.area) for f in fronts]
-    _add_defect_check(suite, curve, defects, tol)
-
-    try:
-        lemma = mean_attainment_front_check(curve, t_values)
-        suite.add(
-            "front_mean_curvature_lemma",
-            bool(lemma.max_deviation < tol),
-            max_deviation=lemma.max_deviation,
-        )
-    except DegenerateProfileError:
-        suite.add("front_mean_curvature_lemma", None, note="circle")
-
-    a, b = 0.13, 0.21
-    two_step = propagate_sphere(propagate_sphere(curve, a), b)
-    one_step = propagate_sphere(curve, a + b)
-    gap = float(np.max(np.linalg.norm(two_step.points - one_step.points, axis=1)))
-    suite.add("semigroup", bool(gap < 1e-8), pointwise_gap=gap)
+    _add_front_checks(suite, curve, tol, t_values, semigroup_times=(0.13, 0.21))
 
     if float(np.min(curve.k)) > 0.0 and curve.pole is not None:
         eq = equatorial_front(curve)
@@ -538,25 +530,7 @@ def _verify_hyperbolic(curve, tol: float, t_values) -> _Suite:
     except NotHorocyclicallyConvexError:
         suite.add("collapse_front", None, note="not horocyclically convex")
 
-    fronts = [propagate_hyperbolic(curve, t) for t in t_values]
-    defects = [defect_value(HYPERBOLIC, f.signed_length, f.area) for f in fronts]
-    _add_defect_check(suite, curve, defects, tol)
-
-    try:
-        lemma = mean_attainment_front_check_h(curve, t_values)
-        suite.add(
-            "front_mean_curvature_lemma",
-            bool(lemma.max_deviation < tol),
-            max_deviation=lemma.max_deviation,
-        )
-    except DegenerateProfileError:
-        suite.add("front_mean_curvature_lemma", None, note="circle")
-
-    a, b = 0.11, 0.17
-    two_step = propagate_hyperbolic(propagate_hyperbolic(curve, a), b)
-    one_step = propagate_hyperbolic(curve, a + b)
-    gap = float(np.max(np.linalg.norm(two_step.points - one_step.points, axis=1)))
-    suite.add("semigroup", bool(gap < 1e-8), pointwise_gap=gap)
+    _add_front_checks(suite, curve, tol, t_values, semigroup_times=(0.11, 0.17))
     return suite
 
 
@@ -564,12 +538,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     _, curve = _load_curve(cfg)
     out = _outdir(cfg)
     t_values = parse_t_spec(cfg.t_spec) or _default_t_grid(curve)
-    if curve.geometry == EUCLIDEAN:
-        suite = _verify_euclidean(curve, cfg.tol, t_values)
-    elif curve.geometry == SPHERICAL:
-        suite = _verify_spherical(curve, cfg.tol, t_values)
-    else:
-        suite = _verify_hyperbolic(curve, cfg.tol, t_values)
+    verify = _by_K(curve, _verify_euclidean, _verify_spherical, _verify_hyperbolic)
+    suite = verify(curve, cfg.tol, t_values)
     report = {
         "command": "verify",
         "geometry": curve.geometry,
@@ -634,7 +604,7 @@ def cmd_export(cfg: RunConfig) -> int:
     if "csv" in cfg.formats:
         specio.write_curve_csv(out / "export_curve.csv", curve)
     if "svg" in cfg.formats:
-        _write_curve_svg(out / "export_curve.svg", curve)
+        _write_curve_svg(out / "export_curve.svg", [curve])
     if "json" in cfg.formats:
         specio.write_json_report(
             out / "export_curve.json",
@@ -668,16 +638,7 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return _COMMANDS[cfg.command](cfg)
-    except (SpecFormatError, InvalidSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (NotBisectingError, NotHorocyclicallyConvexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OvalfrontError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (OvalfrontError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

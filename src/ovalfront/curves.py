@@ -1,16 +1,24 @@
-"""Shared sampled-curve representation and curvature-profile analysis.
+"""Shared sampled-curve representation, the space-form core, and profiles.
 
 Every geometry module produces :class:`SampledCurve` instances (or a
 subclass) sampled on a uniform parameter grid, carrying arc length,
-curvature, quadrature weights and the outward coorientation.  Profile
-analysis (where does the curvature cross its geometric mean?) lives here
-because the counting logic is identical in all three geometries.
+curvature, quadrature weights and the outward coorientation.
+
+The three geometries differ only in their curvature sign K = 0, +1, -1
+and their ambient inner product.  With (c_K, s_K) = (1, t), (cos t, sin t),
+(cosh t, sinh t), a front moves x to c_K x + s_K nu, its factor is
+c_K + s_K k, the mean curvature is (2 pi - K A)/L and the isoperimetric
+defect L^2 - A(4 pi - K A) is invariant along the flow.  A
+:class:`SpaceForm` record holds what differs; curvature, fronts, cusps,
+the polar Green area and the mean-curvature checks are written once on top
+of it.  Profile analysis (where does the curvature cross its geometric
+mean?) lives here for the same reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -30,6 +38,10 @@ TWO_PI = 2.0 * np.pi
 CROSSING_TOL_FACTOR = 1e-7
 # Parameter tolerance for refined crossing/cusp locations.
 ROOT_XTOL = 1e-10
+# Largest allowed deviation of unit-speed samples from speed 1.
+SPEED_TOL = 1e-6
+# |measured speed| below this counts as a cusp sample in fronts.
+CUSP_SPEED_GUARD = 1e-9
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -100,26 +112,81 @@ class SampledCurve:
         return float(p[-1] + (p[1] - p[0])) if len(p) > 1 else self.L
 
 
+# ---------------------------------------------------------------------------
+# the space-form core
+
+
+@dataclass(frozen=True, eq=False)
+class SpaceForm:
+    """What tells the plane, the sphere and the hyperboloid apart.
+
+    ``c(t)`` and ``s(t)`` are c_K and s_K.  ``dot`` is the ambient inner
+    product over the last axis (Minkowski on the hyperboloid); ``cross(v,
+    x)`` turns a tangent v at x into the outward conormal direction, v x n
+    with n the surface normal at x (x itself on the sphere and hyperboloid,
+    e_z for the plane at z = 1).  ``front_area(points, curve, period)``
+    returns the enclosed area of front samples and the area anchor (pole or
+    centre) the front keeps for its own fronts.  ``polar(r, phi)`` is the
+    point at distance r and angle phi from the model's centre (the north
+    pole, the hyperboloid vertex); the plane builds no polar curves.
+    """
+
+    geometry: str
+    K: int
+    c: Callable[[float], float]
+    s: Callable[[float], float]
+    dot: Callable
+    cross: Callable
+    front_area: Callable
+    polar: Optional[Callable] = None
+
+    def norm(self, v: np.ndarray) -> np.ndarray:
+        """Ambient length over the last axis; 0 for non-spacelike vectors."""
+        return np.sqrt(np.maximum(self.dot(v, v), 0.0))
+
+
+def euclidean_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean inner product over the last axis."""
+    return np.sum(a * b, axis=-1)
+
+
+PLANE = SpaceForm(
+    geometry=EUCLIDEAN,
+    K=0,
+    c=lambda t: 1.0,
+    s=lambda t: t,
+    dot=euclidean_dot,
+    cross=lambda v, x: np.column_stack([v[:, 1], -v[:, 0]]),
+    front_area=lambda points, curve, period: (parametric_area(points, period), None),
+)
+
+# geometry tag -> SpaceForm; sphere.py and hyperbolic.py add K = +1 and -1
+SPACE_FORMS = {EUCLIDEAN: PLANE}
+
+
+def space_form(geometry: str) -> SpaceForm:
+    """The :class:`SpaceForm` record of a geometry tag."""
+    if geometry not in SPACE_FORMS:
+        raise ValueError(f"unknown geometry tag {geometry!r}")
+    return SPACE_FORMS[geometry]
+
+
 def average_curvature(curve: SampledCurve) -> float:
-    """Geometric mean curvature: 2pi/L, (2pi - A)/L or (2pi + A)/L."""
+    """Geometric mean curvature (2pi - K A)/L: 2pi/L, (2pi - A)/L or (2pi + A)/L."""
     if curve.L <= 0.0:
         raise ValueError("curve has non-positive length")
-    if curve.geometry == EUCLIDEAN:
-        return TWO_PI / curve.L
-    if curve.geometry == SPHERICAL:
-        return (TWO_PI - curve.A) / curve.L
-    return (TWO_PI + curve.A) / curve.L
+    return (TWO_PI - space_form(curve.geometry).K * curve.A) / curve.L
 
 
 def defect_value(geometry: str, length: float, area: float) -> float:
-    """Isoperimetric defect, invariant under equidistant propagation."""
-    if geometry == EUCLIDEAN:
-        return length**2 - 4.0 * np.pi * area
-    if geometry == SPHERICAL:
-        return length**2 - area * (4.0 * np.pi - area)
-    if geometry == HYPERBOLIC:
-        return length**2 - area * (4.0 * np.pi + area)
-    raise ValueError(f"unknown geometry tag {geometry!r}")
+    """Isoperimetric defect L^2 - A(4pi - K A), invariant under propagation."""
+    return length**2 - area * (4.0 * np.pi - space_form(geometry).K * area)
+
+
+def gauss_bonnet_residual(curve) -> float:
+    """|integral(k ds) - (2 pi - K A)| for the measured curve."""
+    total = float(np.sum(np.asarray(curve.k) * np.asarray(curve.w)))
+    return abs(total - (TWO_PI - space_form(curve.geometry).K * curve.A))
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +286,33 @@ def count_mean_crossings(profile: CurvatureProfile, tol: float = None) -> Crossi
     def g(x):
         return eval_scalar(fn, x) - mean
 
-    crossings = np.empty(len(pairs), dtype=float)
-    for row, (i, j) in enumerate(pairs):
-        lo = profile.param[i]
-        hi = profile.param[j]
-        if hi <= lo:  # bracket wraps past the end of the grid
-            hi += profile.period
-        crossings[row] = brentq(g, lo, hi, xtol=ROOT_XTOL) % profile.period
-
+    crossings = _bracketed_roots(g, pairs, profile.param, profile.period)
     touches = np.empty((len(touch_idx), 2), dtype=float)
     for row, (i, j) in enumerate(touch_idx):
         touches[row] = (profile.param[i], profile.param[j])
     return CrossingReport(count=len(crossings), crossings=np.sort(crossings), touches=touches)
+
+
+def _bracketed_roots(g, pairs, param, period: float) -> np.ndarray:
+    """Roots of ``g`` in each grid bracket ``(i, j)``, refined by brentq."""
+    roots = np.empty(len(pairs), dtype=float)
+    for row, (i, j) in enumerate(pairs):
+        lo, hi = param[i], param[j]
+        if hi <= lo:  # bracket wraps past the end of the grid
+            hi += period
+        roots[row] = brentq(g, lo, hi, xtol=ROOT_XTOL) % period
+    return roots
+
+
+def _param(curve) -> np.ndarray:
+    return np.asarray(curve.param if curve.param is not None else curve.s)
+
+
+def _curvature_callable(curve):
+    """``k(param)``: the analytic curvature when known, else a periodic spline."""
+    if getattr(curve, "curv_fn", None) is not None:
+        return curve.curv_fn
+    return periodic_interpolant(_param(curve), np.asarray(curve.k), float(curve.period))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +359,232 @@ def parametric_area(points: np.ndarray, period: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# curvature of unit-speed samples
+
+
+def _column_deriv(points: np.ndarray, order: int, spacing: float) -> np.ndarray:
+    return np.column_stack(
+        [kernels.periodic_deriv(points[:, j], order, spacing) for j in range(points.shape[1])]
+    )
+
+
+def check_unit_speed(points: np.ndarray, spacing: float, form: SpaceForm,
+                     speed: np.ndarray) -> None:
+    """Raise :class:`BadParametrizationError` unless the samples have speed 1.
+
+    ``speed`` is the fourth-order stencil speed that the curvature formulas
+    use, and it must be within ``SPEED_TOL`` of 1.  On the sphere and the
+    hyperboloid, where the closed-form builders meet the stencil's own
+    truncation error on sharply curved curves at coarse grids, the speed is
+    measured again spectrally and the gate passes if either measurement is
+    within ``SPEED_TOL``.  The curvature then carries the stencil's error,
+    which on a circle is 5/3 of the stencil speed error (relative); a grid
+    that is not unit-speed fails both measurements.
+    """
+    err = float(np.max(np.abs(speed - 1.0)))
+    if err > SPEED_TOL and form.K != 0:
+        period = spacing * len(points)
+        d1 = np.column_stack([fft_deriv(points[:, j], period) for j in range(points.shape[1])])
+        err = min(err, float(np.max(np.abs(form.norm(d1) - 1.0))))
+    if not err <= SPEED_TOL:
+        raise BadParametrizationError(f"speed deviates from 1 by {err:.3g}")
+
+
+def _triple(form: SpaceForm, points, d1, d2) -> np.ndarray:
+    """det[x, x', x''] per sample; the plane is embedded as (x, y, 1)."""
+    if form.K == 0:
+        return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    return np.einsum("ij,ij->i", np.cross(points, d1), d2)
+
+
+def unit_speed_curvature(points: np.ndarray, spacing: float, form: SpaceForm):
+    """Geodesic curvature and outward conormal of unit-speed samples.
+
+    Returns ``(k, nu, d1)`` with k = det[x, x', x'']/|x'|^3 from fourth-order
+    differences.  Raises :class:`BadParametrizationError` when the speed
+    fails :func:`check_unit_speed`.
+    """
+    d1 = _column_deriv(points, 1, spacing)
+    speed = form.norm(d1)
+    check_unit_speed(points, spacing, form, speed)
+    d2 = _column_deriv(points, 2, spacing)
+    k = _triple(form, points, d1, d2) / speed**3
+    nu = form.cross(d1, points)
+    return k, nu / form.norm(nu)[:, None], d1
+
+
+def polar_green_area(weight: np.ndarray, phi: np.ndarray, spacing: float) -> float:
+    """Enclosed area loop(weight dphi) in polar coordinates about an interior point.
+
+    ``phi`` is the wrapped polar angle of each sample and ``weight`` the
+    radial area density (1 - cos r on the sphere, cosh r - 1 on the
+    hyperboloid).  The angle is split into a winding ramp plus a periodic
+    remainder, and only the remainder is differentiated.
+    """
+    steps = np.angle(np.exp(1j * (np.roll(phi, -1) - phi)))
+    winding = float(steps.sum()) / TWO_PI
+    n = len(phi)
+    ramp = winding * TWO_PI * np.arange(n) / n
+    periodic = np.cumsum(np.concatenate([[0.0], steps[:-1]])) - ramp + phi[0]
+    dphi = kernels.periodic_deriv(periodic, 1, spacing) + winding * TWO_PI / (n * spacing)
+    return float(np.sum(weight * dphi) * spacing)
+
+
+# ---------------------------------------------------------------------------
+# equidistant fronts
+
+
+@dataclass(frozen=True, eq=False)
+class Front:
+    """Equidistant front at signed distance t, parametrized like its base.
+
+    ``k`` and ``normal`` are measured on the front samples (NaN at cusp
+    samples) in the curved geometries; plane fronts leave them ``None``.
+    Fronts of curved geometries carry what a curve needs to be propagated
+    again.
+    """
+
+    base: object
+    t: float
+    geometry: str
+    points: np.ndarray
+    factor: np.ndarray  # c_K + s_K k_base
+    regularity: np.ndarray  # sign of the factor per sample
+    cusps: np.ndarray  # refined parameter values where the factor vanishes
+    signed_length: float
+    area: float
+    param: np.ndarray
+    s: np.ndarray
+    period: float
+    k: Optional[np.ndarray] = None
+    normal: Optional[np.ndarray] = None
+    anchor: Optional[np.ndarray] = None  # area pole (sphere) or centre (hyperboloid)
+
+    @property
+    def L(self) -> float:
+        return self.signed_length
+
+    @property
+    def A(self) -> float:
+        return self.area
+
+    @property
+    def w(self) -> np.ndarray:
+        """Quadrature weights: the factor times the base weights."""
+        return self.factor * np.asarray(self.base.w, dtype=float)
+
+    @property
+    def pole(self) -> Optional[np.ndarray]:
+        return self.anchor
+
+    center = pole
+
+
+def _measured_curvature(form: SpaceForm, points: np.ndarray, spacing: float):
+    """Curvature and outward conormal of front samples; NaN at cusp samples."""
+    d1 = _column_deriv(points, 1, spacing)
+    d2 = _column_deriv(points, 2, spacing)
+    speed = form.norm(d1)
+    ok = speed > CUSP_SPEED_GUARD
+    k = np.full(len(points), np.nan)
+    normal = np.full_like(points, np.nan)
+    k[ok] = _triple(form, points[ok], d1[ok], d2[ok]) / speed[ok] ** 3
+    normal[ok] = form.cross(d1[ok] / speed[ok, None], points[ok])
+    return k, normal
+
+
+def propagate_front(curve, t: float) -> Front:
+    """Front of a curve (or of a front) at signed distance t along its conormals."""
+    form = space_form(curve.geometry)
+    w = curve.w
+    if curve.normal is None or w is None:
+        raise ValueError("curve lacks normal/quadrature data")
+    param, period = _param(curve), float(curve.period)
+    c, s = form.c(t), form.s(t)
+    factor = c + s * np.asarray(curve.k, dtype=float)
+    points = c * curve.points + s * curve.normal
+    cusps = np.empty(0)
+    if t != 0.0:
+        pairs, _ = kernels.transitions(factor, 0.0)
+        if len(pairs):
+            kfn = _curvature_callable(curve)
+
+            def g(x):
+                return c + s * eval_scalar(kfn, x)
+
+            cusps = np.sort(_bracketed_roots(g, pairs, param, period))
+    area, anchor = form.front_area(points, curve, period)
+    k = normal = None
+    if form.K != 0:
+        k, normal = _measured_curvature(form, points, period / len(points))
+    return Front(
+        base=curve,
+        t=float(t),
+        geometry=form.geometry,
+        points=points,
+        factor=factor,
+        regularity=np.sign(factor).astype(np.int8),
+        cusps=cusps,
+        signed_length=float(np.sum(factor * np.asarray(w, dtype=float))),
+        area=area,
+        param=param,
+        s=np.asarray(curve.s, dtype=float),
+        period=period,
+        k=k,
+        normal=normal,
+        anchor=anchor,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class LemmaReport:
+    """Deviation of the front curvature at the attainment parameters from the mean."""
+
+    t_values: np.ndarray
+    max_deviation: float
+    deviations: np.ndarray
+    skipped: np.ndarray
+
+    @classmethod
+    def from_deviations(cls, t_values, deviations, skipped) -> "LemmaReport":
+        valid = deviations[~skipped]
+        return cls(
+            t_values=t_values,
+            max_deviation=float(valid.max()) if valid.size else 0.0,
+            deviations=deviations,
+            skipped=skipped,
+        )
+
+
+def mean_attainment_front_check(
+    curve: SampledCurve, t_values: Sequence[float], guard: float = 0.05
+) -> LemmaReport:
+    """Attainment parameters keep mean front curvature under propagation.
+
+    At parameters s* where k(s*) equals the mean (2 pi - K A)/L, the
+    measured front curvature must equal (2 pi - K A_t)/L_t, computed from
+    the measured front area and signed length.  Times where the front
+    factor comes within ``guard`` of zero are skipped.
+    """
+    profile = curvature_profile(curve)
+    stars = profile.crossing_params
+    K = space_form(curve.geometry).K
+    ts = np.asarray(list(t_values), dtype=float)
+    devs = np.full(ts.shape, np.nan)
+    skipped = np.zeros(ts.shape, dtype=bool)
+    for i, t in enumerate(ts):
+        front = propagate_front(curve, t)
+        if float(np.min(np.abs(front.factor))) < guard:
+            skipped[i] = True
+            continue
+        kfn = periodic_interpolant(front.s, front.k, front.period)
+        kbar_t = (TWO_PI - K * front.area) / front.signed_length
+        vals = np.array([eval_scalar(kfn, p) for p in stars])
+        devs[i] = float(np.max(np.abs(vals - kbar_t))) if stars.size else 0.0
+    return LemmaReport.from_deviations(ts, devs, skipped)
+
+
+# ---------------------------------------------------------------------------
 # arc-length resampling
 
 
@@ -312,11 +620,55 @@ def arclength_resample(point_fn, n_samples: int, speed_fn, oversample: int = 8):
     return np.asarray(point_fn(params), dtype=float), s, total, params
 
 
-def closed_spline_through(points: np.ndarray):
+def harmonic_radius(rho: float, harmonics: Sequence):
+    """r(phi) = rho + sum(a cos(m phi + p)) over (m, a, p) triples, and r'(phi)."""
+    terms = [(int(m), float(a), float(p)) for m, a, p in harmonics]
+
+    def r_fn(phi):
+        r = np.full_like(np.asarray(phi, dtype=float), rho)
+        for m, a, p in terms:
+            r = r + a * np.cos(m * np.asarray(phi) + p)
+        return r
+
+    def dr_fn(phi):
+        d = np.zeros_like(np.asarray(phi, dtype=float))
+        for m, a, p in terms:
+            d = d - a * m * np.sin(m * np.asarray(phi) + p)
+        return d
+
+    return r_fn, dr_fn
+
+
+def polar_curve(form: SpaceForm, r_fn, dr_fn, n_samples: int):
+    """Arc-length samples of the closed curve r = r_fn(phi) in polar coordinates.
+
+    The metric speed is sqrt(r'^2 + s_K(r)^2); returns what
+    :func:`arclength_resample` returns.
+    """
+
+    def point_fn(phi):
+        return form.polar(r_fn(phi), phi)
+
+    def speed_fn(phi):
+        return np.sqrt(dr_fn(phi) ** 2 + form.s(r_fn(phi)) ** 2)
+
+    return arclength_resample(point_fn, n_samples, speed_fn)
+
+
+def polar_circle(form: SpaceForm, rho: float, n_samples: int):
+    """``(points, s, L)`` of the circle of radius rho at uniform arc length."""
+    n = int(n_samples)
+    length = TWO_PI * form.s(rho)
+    s = np.arange(n) * (length / n)
+    return form.polar(np.full(n, rho), s / form.s(rho)), s, length
+
+
+def closed_spline_through(points: np.ndarray, form: SpaceForm = PLANE):
     """Periodic spline through discrete closed-loop samples.
 
     Parametrized by chordal estimate scaled onto [0, 2pi); returns
-    ``(point_fn, speed_fn)`` suitable for :func:`arclength_resample`.
+    ``(point_fn, speed_fn)`` suitable for :func:`arclength_resample`, with
+    the speed measured in the ambient metric of ``form``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) < 8:
@@ -334,6 +686,6 @@ def closed_spline_through(points: np.ndarray):
         return spline(np.mod(t, TWO_PI))
 
     def speed_fn(t):
-        return np.linalg.norm(dspline(np.mod(t, TWO_PI)), axis=-1)
+        return form.norm(dspline(np.mod(t, TWO_PI)))
 
     return point_fn, speed_fn

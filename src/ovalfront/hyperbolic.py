@@ -22,22 +22,30 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, root
 
-from . import _kernels as kernels
 from .curves import (
     HYPERBOLIC,
-    ROOT_XTOL,
+    SPACE_FORMS,
     TWO_PI,
     CurvatureProfile,
+    Front,
     SampledCurve,
+    SpaceForm,
     arclength_resample,
+    closed_spline_through,
     count_mean_crossings,
     curvature_profile,
-    eval_scalar,
-    periodic_interpolant,
+    harmonic_radius,
+    mean_attainment_front_check,
+    polar_circle,
+    polar_curve,
+    polar_green_area,
+    propagate_front,
+    unit_speed_curvature,
 )
+# the shared K-indexed residual, under its hyperbolic name
+from .curves import gauss_bonnet_residual as gauss_bonnet_residual_h  # noqa: F401
 from .errors import (
     BadParametrizationError,
     CothDomainError,
@@ -48,14 +56,15 @@ from .errors import (
 )
 
 HYPERBOLOID_NORM_TOL = 1e-10
-SPEED_TOL = 1e-6
 HOROCYCLIC_MARGIN = 1e-6
 CLASS_BAND = 1e-6
-CUSP_SPEED_GUARD = 1e-9
 
 CIRCLE_LIKE = 1
 HOROCYCLE_LIKE = 0
 EQUIDISTANT_LIKE = -1
+
+# one front type serves every geometry
+HyperbolicFront = Front
 
 
 # ---------------------------------------------------------------------------
@@ -115,31 +124,13 @@ def classify_curvature(k: np.ndarray, band: float = CLASS_BAND) -> np.ndarray:
 # differential quantities
 
 
-def _column_deriv(points: np.ndarray, order: int, spacing: float) -> np.ndarray:
-    return np.column_stack(
-        [kernels.periodic_deriv(points[:, j], order, spacing) for j in range(3)]
-    )
-
-
-def geodesic_curvature_h(points: np.ndarray, spacing: float, speed_tol: float = SPEED_TOL):
+def geodesic_curvature_h(points: np.ndarray, spacing: float):
     """Geodesic curvature and outward conormal of unit-speed hyperboloid samples.
 
     Returns ``(k, nu, d1)``.  The Minkowski speed must equal 1 within
-    ``speed_tol`` (loosen it deliberately when the curvature profile has
-    kinks, where fourth-order differences ring on neighbouring samples).
+    ``SPEED_TOL``.
     """
-    d1 = _column_deriv(points, 1, spacing)
-    speed_sq = mdot(d1, d1)
-    if np.any(speed_sq <= 0.0):
-        raise BadParametrizationError("tangent fails to be spacelike")
-    speed = np.sqrt(speed_sq)
-    err = float(np.max(np.abs(speed - 1.0)))
-    if err > speed_tol:
-        raise BadParametrizationError(f"Minkowski speed deviates from 1 by {err:.3g}")
-    d2 = _column_deriv(points, 2, spacing)
-    k = np.einsum("ij,ij->i", np.cross(points, d1), d2) / speed**3
-    nu = _normalize_spacelike(mcross(d1, points))
-    return k, nu, d1
+    return unit_speed_curvature(points, spacing, HYPERBOLOID)
 
 
 def _polar_frame(center: np.ndarray):
@@ -157,20 +148,31 @@ def hyperbolic_area_green(points: np.ndarray, center: np.ndarray, spacing: float
     """Enclosed area by the polar identity A = loop(cosh r - 1) dphi about center."""
     e1, e2 = _polar_frame(center)
     cosh_r = np.maximum(-mdot(points, center), 1.0)
-    phi_raw = np.arctan2(mdot(points, e2), mdot(points, e1))
-    steps = np.angle(np.exp(1j * (np.roll(phi_raw, -1) - phi_raw)))
-    winding = float(steps.sum()) / TWO_PI
-    n = len(points)
-    ramp = winding * TWO_PI * np.arange(n) / n
-    periodic = np.cumsum(np.concatenate([[0.0], steps[:-1]])) - ramp + phi_raw[0]
-    dphi = kernels.periodic_deriv(periodic, 1, spacing) + winding * TWO_PI / (n * spacing)
-    return float(np.sum((cosh_r - 1.0) * dphi) * spacing)
+    phi = np.arctan2(mdot(points, e2), mdot(points, e1))
+    return polar_green_area(cosh_r - 1.0, phi, spacing)
 
 
-def gauss_bonnet_residual_h(curve: SampledCurve) -> float:
-    """|integral(k ds) - (2 pi + A)| for the measured curve."""
-    total = float(np.sum(np.asarray(curve.k) * np.asarray(curve.w)))
-    return abs(total - (TWO_PI + curve.A))
+def _front_area(points: np.ndarray, curve, period: float):
+    """Green area of front samples about the base's centre (else their mean)."""
+    center = getattr(curve, "center", None)
+    if center is None:
+        center = normalize_timelike(points.mean(axis=0))
+    area = hyperbolic_area_green(points, center, period / len(points))
+    return area, np.asarray(center, dtype=float)
+
+
+HYPERBOLOID = SPACE_FORMS[HYPERBOLIC] = SpaceForm(
+    geometry=HYPERBOLIC,
+    K=-1,
+    c=np.cosh,
+    s=np.sinh,
+    dot=mdot,
+    cross=mcross,
+    front_area=_front_area,
+    polar=lambda r, phi: np.column_stack(
+        [np.cosh(r), np.sinh(r) * np.cos(phi), np.sinh(r) * np.sin(phi)]
+    ),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +217,7 @@ def hyperbolic_circle(rho: float, n_samples: int = 1024) -> HyperbolicCurve:
     """Circle of hyperbolic radius rho about the model basepoint (1,0,0)."""
     if rho <= 0.0:
         raise InvalidSpecError("need rho > 0")
-    n = int(n_samples)
-    length = TWO_PI * np.sinh(rho)
-    s = np.arange(n) * (length / n)
-    u = s / np.sinh(rho)
-    points = np.column_stack(
-        [np.full(n, np.cosh(rho)), np.sinh(rho) * np.cos(u), np.sinh(rho) * np.sin(u)]
-    )
+    points, s, length = polar_circle(HYPERBOLOID, rho, n_samples)
     k_const = 1.0 / np.tanh(rho)
     return _finish_hyperbolic_curve(
         points,
@@ -238,30 +234,8 @@ def perturbed_hyperbolic_circle(
     """Circle with harmonic radial perturbations rho(phi) = rho + sum(...)."""
     if rho <= 0.0:
         raise InvalidSpecError("need rho > 0")
-    terms = [(int(m), float(a), float(p)) for m, a, p in harmonics]
-
-    def radius(phi):
-        r = np.full_like(np.asarray(phi, dtype=float), rho)
-        for m, a, p in terms:
-            r = r + a * np.cos(m * np.asarray(phi) + p)
-        return r
-
-    def dradius(phi):
-        d = np.zeros_like(np.asarray(phi, dtype=float))
-        for m, a, p in terms:
-            d = d - a * m * np.sin(m * np.asarray(phi) + p)
-        return d
-
-    def point_fn(phi):
-        r = radius(phi)
-        return np.column_stack(
-            [np.cosh(r), np.sinh(r) * np.cos(phi), np.sinh(r) * np.sin(phi)]
-        )
-
-    def speed_fn(phi):
-        return np.sqrt(dradius(phi) ** 2 + np.sinh(radius(phi)) ** 2)
-
-    points, s, length, _ = arclength_resample(point_fn, int(n_samples), speed_fn)
+    r_fn, dr_fn = harmonic_radius(rho, harmonics)
+    points, s, length, _ = polar_curve(HYPERBOLOID, r_fn, dr_fn, int(n_samples))
     return _finish_hyperbolic_curve(points, s, length)
 
 
@@ -271,21 +245,8 @@ def hyperbolic_curve_from_points(points, n_samples: int = 1024) -> HyperbolicCur
     if float(np.max(np.abs(mdot(raw, raw) + 1.0))) > 1e-6:
         raise BadParametrizationError("input points must satisfy <x,x> = -1")
     resampled = normalize_timelike(raw)
-    for _ in range(2):
-        u = np.concatenate(
-            [[0.0], np.cumsum(np.linalg.norm(np.diff(resampled, axis=0), axis=1))]
-        )
-        u = np.append(u, u[-1] + np.linalg.norm(resampled[0] - resampled[-1]))
-        u *= TWO_PI / u[-1]
-        spline = CubicSpline(u, np.vstack([resampled, resampled[:1]]), bc_type="periodic")
-
-        def point_fn(t):
-            return spline(np.mod(t, TWO_PI))
-
-        def speed_fn(t):
-            d = spline(np.mod(t, TWO_PI), 1)
-            return np.sqrt(np.maximum(mdot(d, d), 1e-300))
-
+    for _ in range(2):  # polish: normalization perturbs the speed slightly
+        point_fn, speed_fn = closed_spline_through(resampled, HYPERBOLOID)
         pts, s, length, _ = arclength_resample(point_fn, int(n_samples), speed_fn)
         resampled = normalize_timelike(pts)
     return _finish_hyperbolic_curve(resampled, s, length)
@@ -322,49 +283,6 @@ def check_horocyclic_convexity(
 # propagation
 
 
-@dataclass(frozen=True, eq=False)
-class HyperbolicFront:
-    """Equidistant front of a hyperbolic curve, base-parametrized."""
-
-    base: object
-    t: float
-    points: np.ndarray
-    normal: np.ndarray
-    k: np.ndarray
-    factor: np.ndarray  # cosh t + k_base sinh t
-    regularity: np.ndarray
-    cusps: np.ndarray
-    signed_length: float
-    area: float
-    s: np.ndarray
-    w: np.ndarray
-    center: Optional[np.ndarray]
-    period: float
-
-    @property
-    def L(self) -> float:
-        return self.signed_length
-
-    @property
-    def A(self) -> float:
-        return self.area
-
-    @property
-    def param(self) -> np.ndarray:
-        return self.s
-
-    @property
-    def geometry(self) -> str:
-        return HYPERBOLIC
-
-
-def _base_curvature_callable(obj):
-    if getattr(obj, "curv_fn", None) is not None:
-        return obj.curv_fn
-    param = obj.param if obj.param is not None else obj.s
-    return periodic_interpolant(np.asarray(param), np.asarray(obj.k), float(obj.period))
-
-
 def _first_cusp_time(k: np.ndarray) -> float:
     """Most recent negative t at which cosh t + k sinh t first vanishes."""
     top = float(np.max(k))
@@ -373,82 +291,45 @@ def _first_cusp_time(k: np.ndarray) -> float:
     return -float(np.arctanh(1.0 / top))
 
 
-def propagate_hyperbolic(curve, t: float, force: bool = False) -> HyperbolicFront:
+def propagate_hyperbolic(curve, t: float, force: bool = False) -> Front:
     """Front at signed distance t along the outward conormal field.
 
     Non-horocyclically-convex input is accepted for t >= 0 and for
     negative t up to the first cusp onset; beyond that the closed forms
     stop describing the front and the call refuses unless ``force``.
     """
+    if not force:
+        _refuse_past_cusp_onset(curve, t)
+    return propagate_front(curve, t)
+
+
+def _refuse_past_cusp_onset(curve, t: float) -> None:
     k = np.asarray(curve.k, dtype=float)
     hc = getattr(curve, "horocyclic_convex", None)
     if hc is None:
         hc = bool(np.min(k) > 1.0 + HOROCYCLIC_MARGIN)
-    if not hc and not force and t < _first_cusp_time(k):
+    if not hc and t < _first_cusp_time(k):
         raise NotHorocyclicallyConvexError(
             "negative-time propagation past cusp onset needs a horocyclically "
             "convex curve (or force=True)"
         )
-    nu = curve.normal
-    factor = np.cosh(t) + np.sinh(t) * k
-    pts = np.cosh(t) * curve.points + np.sinh(t) * nu
-    n = len(pts)
-    spacing = curve.period / n
 
-    d1 = _column_deriv(pts, 1, spacing)
-    d2 = _column_deriv(pts, 2, spacing)
-    speed_sq = mdot(d1, d1)
-    ok = speed_sq > CUSP_SPEED_GUARD**2
-    k_front = np.full(n, np.nan)
-    nu_front = np.full_like(pts, np.nan)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        det = np.einsum("ij,ij->i", np.cross(pts, d1), d2)
-        k_front[ok] = det[ok] / np.sqrt(speed_sq[ok]) ** 3
-        nu_front[ok] = mcross(d1[ok] / np.sqrt(speed_sq[ok])[:, None], pts[ok])
 
-    cusps = np.empty(0, dtype=float)
-    pairs, _ = kernels.transitions(factor, 0.0)
-    if len(pairs):
-        param = np.asarray(curve.param if curve.param is not None else curve.s)
-        kfn = _base_curvature_callable(curve)
+def mean_attainment_front_check_h(curve, t_values: Sequence[float], guard: float = 0.05):
+    """:func:`mean_attainment_front_check` behind :func:`propagate_hyperbolic`'s guard.
 
-        def g(x):
-            return np.cosh(t) + np.sinh(t) * eval_scalar(kfn, x)
-
-        roots = []
-        for i, j in pairs:
-            lo, hi = param[i], param[j]
-            if hi <= lo:
-                hi += curve.period
-            roots.append(brentq(g, lo, hi, xtol=ROOT_XTOL) % curve.period)
-        cusps = np.sort(np.asarray(roots))
-
-    w = np.asarray(curve.w, dtype=float)
-    center = getattr(curve, "center", None)
-    if center is None:
-        center = normalize_timelike(pts.mean(axis=0))
-    area = hyperbolic_area_green(pts, center, spacing)
-    return HyperbolicFront(
-        base=curve,
-        t=float(t),
-        points=pts,
-        normal=nu_front,
-        k=k_front,
-        factor=factor,
-        regularity=np.sign(factor).astype(np.int8),
-        cusps=cusps,
-        signed_length=float(np.sum(factor * w)),
-        area=area,
-        s=np.asarray(curve.s, dtype=float),
-        w=factor * w,
-        center=np.asarray(center, dtype=float),
-        period=float(curve.period),
-    )
+    Raises :class:`NotHorocyclicallyConvexError` when any time lies past the
+    first cusp onset of a curve that is not horocyclically convex.
+    """
+    ts = list(t_values)
+    for t in ts:
+        _refuse_past_cusp_onset(curve, t)
+    return mean_attainment_front_check(curve, ts, guard)
 
 
 @dataclass(frozen=True, eq=False)
 class CollapseReport:
-    front: HyperbolicFront
+    front: Front
     t: float
     mean_curvature: float
     signed_length: float
@@ -497,41 +378,6 @@ def collapse_front(curve: HyperbolicCurve, force: bool = False) -> CollapseRepor
         cusp_count=count,
         cusp_params=profile.crossing_params,
         passed=count >= 4,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class HyperbolicLemmaReport:
-    t_values: np.ndarray
-    max_deviation: float
-    deviations: np.ndarray
-    skipped: np.ndarray
-
-
-def mean_attainment_front_check_h(
-    curve: HyperbolicCurve, t_values: Sequence[float], guard: float = 0.05
-) -> HyperbolicLemmaReport:
-    """Attainment parameters keep mean front curvature under propagation."""
-    profile = curvature_profile(curve)
-    stars = profile.crossing_params
-    ts = np.asarray(list(t_values), dtype=float)
-    devs = np.full(ts.shape, np.nan)
-    skipped = np.zeros(ts.shape, dtype=bool)
-    for i, t in enumerate(ts):
-        front = propagate_hyperbolic(curve, t)
-        if float(np.min(np.abs(front.factor))) < guard:
-            skipped[i] = True
-            continue
-        kfn = periodic_interpolant(front.s, front.k, front.period)
-        kbar_t = (TWO_PI + front.area) / front.signed_length
-        vals = np.array([eval_scalar(kfn, p) for p in stars])
-        devs[i] = float(np.max(np.abs(vals - kbar_t))) if stars.size else 0.0
-    valid = devs[~skipped]
-    return HyperbolicLemmaReport(
-        t_values=ts,
-        max_deviation=float(valid.max()) if valid.size else 0.0,
-        deviations=devs,
-        skipped=skipped,
     )
 
 

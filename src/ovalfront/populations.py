@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import OvalfrontError
 from .hyperbolic import HyperbolicCurve, perturbed_hyperbolic_circle
 from .sphere import SphereCurve, perturbed_sphere_circle, tennis_seam
 from .support import SupportOval, build_oval
@@ -40,7 +41,7 @@ def random_support_ovals(
         oval = SupportOval(coeffs=tuple(coeffs), n_samples=n_samples)
         try:
             curve = build_oval(oval)
-        except Exception:
+        except OvalfrontError:
             continue
         radii = 1.0 / curve.k
         if float(np.min(radii)) <= min_radius:
@@ -96,7 +97,7 @@ def random_perturbed_sphere_circles(
         ]
         try:
             curve = perturbed_sphere_circle(rho, harmonics, n_samples=n_samples)
-        except Exception:
+        except OvalfrontError:
             continue
         if curve.pole is None:
             continue
@@ -126,7 +127,7 @@ def random_hyperbolic_ovals(
         ]
         try:
             curve = perturbed_hyperbolic_circle(rho, harmonics, n_samples=n_samples)
-        except Exception:
+        except OvalfrontError:
             continue
         if float(np.min(curve.k)) <= min_curvature:
             continue
@@ -151,7 +152,7 @@ def torsion_test_curves(count: int = 20, seed: int = DEFAULT_SEED, n_samples: in
         harmonics = [(m, rng.normal(0.0, 0.15 / m**2), rng.uniform(0.0, 2.0 * np.pi))]
         try:
             curve = perturbed_sphere_circle(rho, harmonics, n_samples=n_samples)
-        except Exception:
+        except OvalfrontError:
             continue
         if float(np.max(curve.k) - np.min(curve.k)) <= 1e-4:
             continue

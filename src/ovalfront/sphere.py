@@ -17,22 +17,31 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _kernels as kernels
 from .curves import (
-    ROOT_XTOL,
+    SPACE_FORMS,
+    SPEED_TOL,
     SPHERICAL,
     TWO_PI,
     CurvatureProfile,
+    Front,
     SampledCurve,
+    SpaceForm,
+    _column_deriv,
     arclength_resample,
     closed_spline_through,
     count_mean_crossings,
-    curvature_profile,
-    eval_scalar,
-    periodic_interpolant,
+    euclidean_dot,
+    harmonic_radius,
+    polar_circle,
+    polar_curve,
+    polar_green_area,
+    propagate_front,
+    unit_speed_curvature,
 )
+# the shared K-indexed checks, under their sphere names
+from .curves import gauss_bonnet_residual, mean_attainment_front_check  # noqa: F401
 from .errors import (
     BadParametrizationError,
     DegenerateProfileError,
@@ -44,10 +53,10 @@ from .errors import (
 )
 
 UNIT_NORM_TOL = 1e-10
-SPEED_TOL = 1e-6
 FRENET_TOL = 1e-6
-# |measured speed| below this counts as a cusp sample in fronts
-CUSP_SPEED_GUARD = 1e-9
+
+# one front type serves every geometry
+SphereFront = Front
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -55,48 +64,37 @@ class SphereCurve(SampledCurve):
     """Spherical curve with hemisphere witness and spherical diameter."""
 
     pole: Optional[np.ndarray] = None
-    diameter: float = float("nan")
+
+    @property
+    def diameter(self) -> float:
+        return spherical_diameter(self.points)
 
 
 # ---------------------------------------------------------------------------
 # differential quantities
 
 
-def _column_deriv(points: np.ndarray, order: int, spacing: float) -> np.ndarray:
-    return np.column_stack(
-        [kernels.periodic_deriv(points[:, j], order, spacing) for j in range(points.shape[1])]
-    )
-
-
 def geodesic_curvature(points: np.ndarray, spacing: float):
     """Geodesic curvature and outward conormal of unit-speed samples.
 
     Returns ``(k_g, nu, d1)``.  Raises :class:`BadParametrizationError`
-    when the sampled speed strays from 1 by more than 1e-6.
+    when the speed strays from 1 by more than 1e-6.
     """
-    d1 = _column_deriv(points, 1, spacing)
-    speed = np.linalg.norm(d1, axis=1)
-    err = float(np.max(np.abs(speed - 1.0)))
-    if err > SPEED_TOL:
-        raise BadParametrizationError(f"|gamma'| deviates from 1 by {err:.3g}")
-    d2 = _column_deriv(points, 2, spacing)
-    k = np.einsum("ij,ij->i", np.cross(points, d1), d2) / speed**3
-    nu = np.cross(d1, points)
-    nu /= np.linalg.norm(nu, axis=1)[:, None]
-    return k, nu, d1
+    return unit_speed_curvature(points, spacing, SPHERE)
 
 
 def spherical_diameter(points: np.ndarray, chunk: int = 512) -> float:
     """Largest great-circle distance between curve samples.
 
     Grid maximum over all pairs; a lower bound on the true diameter with
-    error O(spacing^2), tight enough for the embeddedness margin.
+    error O(spacing^2), tight enough for the embeddedness margin.  arccos
+    decreases, so the farthest pair is the one with the smallest dot product.
     """
-    best = -1.0
-    for lo in range(0, len(points), chunk):
-        dots = points[lo : lo + chunk] @ points.T
-        best = max(best, float(np.arccos(np.clip(dots, -1.0, 1.0)).max()))
-    return best
+    lowest = min(
+        float((points[lo : lo + chunk] @ points.T).min())
+        for lo in range(0, len(points), chunk)
+    )
+    return float(np.arccos(np.clip(lowest, -1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +111,6 @@ def _orthonormal_frame(pole: np.ndarray):
     return e1, e2
 
 
-def _winding_steps(phi: np.ndarray) -> np.ndarray:
-    return np.angle(np.exp(1j * (np.roll(phi, -1) - phi)))
-
-
 def spherical_area_green(points: np.ndarray, pole: np.ndarray, spacing: float) -> float:
     """Enclosed area by the polar Green identity A = loop(1 - cos r) dphi.
 
@@ -125,15 +119,8 @@ def spherical_area_green(points: np.ndarray, pole: np.ndarray, spacing: float) -
     """
     e1, e2 = _orthonormal_frame(pole)
     r = np.arccos(np.clip(points @ pole, -1.0, 1.0))
-    phi_raw = np.arctan2(points @ e2, points @ e1)
-    steps = _winding_steps(phi_raw)
-    winding = float(steps.sum()) / TWO_PI
-    n = len(points)
-    # split phi into a linear ramp plus a periodic remainder before FD
-    ramp = winding * TWO_PI * np.arange(n) / n
-    periodic = np.cumsum(np.concatenate([[0.0], steps[:-1]])) - ramp + phi_raw[0]
-    dphi = kernels.periodic_deriv(periodic, 1, spacing) + winding * TWO_PI / (n * spacing)
-    return float(np.sum((1.0 - np.cos(r)) * dphi) * spacing)
+    phi = np.arctan2(points @ e2, points @ e1)
+    return polar_green_area(1.0 - np.cos(r), phi, spacing)
 
 
 def spherical_area_fan(points: np.ndarray, apex: np.ndarray) -> float:
@@ -145,10 +132,35 @@ def spherical_area_fan(points: np.ndarray, apex: np.ndarray) -> float:
     return float(np.sum(2.0 * np.arctan2(num, den)))
 
 
-def gauss_bonnet_residual(curve: SampledCurve) -> float:
-    """|integral(k_g ds) - (2 pi - A)| for the measured curve."""
-    total = float(np.sum(curve.k * curve.w))
-    return abs(total - (TWO_PI - curve.A))
+def _front_area(points: np.ndarray, curve, period: float):
+    """Green area of front samples about the base's hemisphere witness.
+
+    Without a witness the normalized mean of the samples serves as pole;
+    the front keeps the base's witness (possibly ``None``) either way.
+    """
+    witness = getattr(curve, "pole", None)
+    pole = witness
+    if pole is None:
+        mean = points.mean(axis=0)
+        if np.linalg.norm(mean) > 1e-9:
+            pole = mean / np.linalg.norm(mean)
+    if pole is None:
+        return float("nan"), witness
+    return spherical_area_green(points, pole, period / len(points)), witness
+
+
+SPHERE = SPACE_FORMS[SPHERICAL] = SpaceForm(
+    geometry=SPHERICAL,
+    K=1,
+    c=np.cos,
+    s=np.sin,
+    dot=euclidean_dot,
+    cross=np.cross,
+    front_area=_front_area,
+    polar=lambda th, phi: np.column_stack(
+        [np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)]
+    ),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +211,6 @@ def _finish_sphere_curve(points, s, length, area_pole=None, curv_fn=None) -> Sph
         w=w,
         curv_fn=curv_fn,
         pole=witness,
-        diameter=spherical_diameter(points),
     )
 
 
@@ -207,13 +218,7 @@ def sphere_circle(rho: float, n_samples: int = 1024) -> SphereCurve:
     """Circle of geodesic radius rho about the north pole."""
     if not 0.0 < rho < np.pi:
         raise InvalidSpecError("need 0 < rho < pi")
-    n = int(n_samples)
-    length = TWO_PI * np.sin(rho)
-    s = np.arange(n) * (length / n)
-    u = s / np.sin(rho)
-    points = np.column_stack(
-        [np.sin(rho) * np.cos(u), np.sin(rho) * np.sin(u), np.full(n, np.cos(rho))]
-    )
+    points, s, length = polar_circle(SPHERE, rho, n_samples)
     k_const = 1.0 / np.tan(rho)
     return _finish_sphere_curve(
         points,
@@ -222,19 +227,6 @@ def sphere_circle(rho: float, n_samples: int = 1024) -> SphereCurve:
         area_pole=np.array([0.0, 0.0, 1.0]),
         curv_fn=lambda x: np.full_like(np.atleast_1d(np.asarray(x, float)), k_const),
     )
-
-
-def _colatitude_curve(theta_fn, dtheta_fn, n_samples: int):
-    def point_fn(phi):
-        th = theta_fn(phi)
-        return np.column_stack(
-            [np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)]
-        )
-
-    def speed_fn(phi):
-        return np.sqrt(dtheta_fn(phi) ** 2 + np.sin(theta_fn(phi)) ** 2)
-
-    return arclength_resample(point_fn, n_samples, speed_fn)
 
 
 def perturbed_sphere_circle(
@@ -248,21 +240,8 @@ def perturbed_sphere_circle(
     """
     if not 0.0 < rho < np.pi:
         raise InvalidSpecError("need 0 < rho < pi")
-    terms = [(int(m), float(a), float(p)) for m, a, p in harmonics]
-
-    def theta_fn(phi):
-        th = np.full_like(np.asarray(phi, dtype=float), rho)
-        for m, a, p in terms:
-            th = th + a * np.cos(m * np.asarray(phi) + p)
-        return th
-
-    def dtheta_fn(phi):
-        d = np.zeros_like(np.asarray(phi, dtype=float))
-        for m, a, p in terms:
-            d = d - a * m * np.sin(m * np.asarray(phi) + p)
-        return d
-
-    points, s, length, _ = _colatitude_curve(theta_fn, dtheta_fn, int(n_samples))
+    theta_fn, dtheta_fn = harmonic_radius(rho, harmonics)
+    points, s, length, _ = polar_curve(SPHERE, theta_fn, dtheta_fn, int(n_samples))
     return _finish_sphere_curve(points, s, length, area_pole=np.array([0.0, 0.0, 1.0]))
 
 
@@ -281,7 +260,7 @@ def tennis_seam(beta: float = 0.25, n_samples: int = 2048) -> SphereCurve:
     def dtheta_fn(phi):
         return 2.0 * beta * np.cos(2.0 * np.asarray(phi, dtype=float))
 
-    points, s, length, _ = _colatitude_curve(theta_fn, dtheta_fn, int(n_samples))
+    points, s, length, _ = polar_curve(SPHERE, theta_fn, dtheta_fn, int(n_samples))
     return _finish_sphere_curve(points, s, length, area_pole=np.array([0.0, 0.0, 1.0]))
 
 
@@ -293,7 +272,7 @@ def sphere_curve_from_points(points, n_samples: int = 1024) -> SphereCurve:
         raise BadParametrizationError("input points must lie on the unit sphere")
     resampled = raw / norms[:, None]
     for _ in range(2):  # polish: normalization perturbs the speed slightly
-        point_fn, speed_fn = closed_spline_through(resampled)
+        point_fn, speed_fn = closed_spline_through(resampled, SPHERE)
         pts, s, length, _ = arclength_resample(point_fn, int(n_samples), speed_fn)
         resampled = pts / np.linalg.norm(pts, axis=1)[:, None]
     return _finish_sphere_curve(resampled, s, length)
@@ -303,116 +282,14 @@ def sphere_curve_from_points(points, n_samples: int = 1024) -> SphereCurve:
 # fronts
 
 
-@dataclass(frozen=True, eq=False)
-class SphereFront:
-    """Equidistant front of a spherical curve, base-parametrized."""
-
-    base: object
-    t: float
-    points: np.ndarray
-    normal: np.ndarray
-    k: np.ndarray  # measured front curvature; NaN at cusp samples
-    factor: np.ndarray  # cos t + k_base sin t
-    regularity: np.ndarray
-    cusps: np.ndarray
-    signed_length: float
-    area: float
-    s: np.ndarray
-    w: np.ndarray
-    pole: Optional[np.ndarray]
-    period: float
-
-    # duck-typed aliases so fronts can be propagated again
-    @property
-    def L(self) -> float:
-        return self.signed_length
-
-    @property
-    def A(self) -> float:
-        return self.area
-
-    @property
-    def param(self) -> np.ndarray:
-        return self.s
-
-    @property
-    def geometry(self) -> str:
-        return SPHERICAL
-
-
-def _base_curvature_callable(obj):
-    if getattr(obj, "curv_fn", None) is not None:
-        return obj.curv_fn
-    param = obj.param if obj.param is not None else obj.s
-    return periodic_interpolant(np.asarray(param), np.asarray(obj.k), float(obj.period))
-
-
-def propagate_sphere(curve, t: float) -> SphereFront:
+def propagate_sphere(curve, t: float) -> Front:
     """Front at signed distance t along the outward conormal field."""
-    k = np.asarray(curve.k, dtype=float)
-    nu = curve.normal
-    factor = np.cos(t) + np.sin(t) * k
-    pts = np.cos(t) * curve.points + np.sin(t) * nu
-    n = len(pts)
-    spacing = curve.period / n
-
-    d1 = _column_deriv(pts, 1, spacing)
-    d2 = _column_deriv(pts, 2, spacing)
-    speed = np.linalg.norm(d1, axis=1)
-    ok = speed > CUSP_SPEED_GUARD
-    k_front = np.full(n, np.nan)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        det = np.einsum("ij,ij->i", np.cross(pts, d1), d2)
-        k_front[ok] = det[ok] / speed[ok] ** 3
-    nu_front = np.full_like(pts, np.nan)
-    nu_front[ok] = np.cross(d1[ok] / speed[ok, None], pts[ok])
-
-    cusps = np.empty(0, dtype=float)
-    pairs, _ = kernels.transitions(factor, 0.0)
-    if len(pairs):
-        param = np.asarray(curve.param if curve.param is not None else curve.s)
-        kfn = _base_curvature_callable(curve)
-
-        def g(x):
-            return np.cos(t) + np.sin(t) * eval_scalar(kfn, x)
-
-        roots = []
-        for i, j in pairs:
-            lo, hi = param[i], param[j]
-            if hi <= lo:
-                hi += curve.period
-            roots.append(brentq(g, lo, hi, xtol=ROOT_XTOL) % curve.period)
-        cusps = np.sort(np.asarray(roots))
-
-    w = np.asarray(curve.w, dtype=float)
-    signed_length = float(np.sum(factor * w))
-    pole = getattr(curve, "pole", None)
-    if pole is None:
-        mean = pts.mean(axis=0)
-        if np.linalg.norm(mean) > 1e-9:
-            pole = mean / np.linalg.norm(mean)
-    area = spherical_area_green(pts, pole, spacing) if pole is not None else float("nan")
-    return SphereFront(
-        base=curve,
-        t=float(t),
-        points=pts,
-        normal=nu_front,
-        k=k_front,
-        factor=factor,
-        regularity=np.sign(factor).astype(np.int8),
-        cusps=cusps,
-        signed_length=signed_length,
-        area=area,
-        s=np.asarray(curve.s, dtype=float),
-        w=factor * w,
-        pole=getattr(curve, "pole", None),
-        period=float(curve.period),
-    )
+    return propagate_front(curve, t)
 
 
 @dataclass(frozen=True, eq=False)
 class EquatorialReport:
-    front: SphereFront
+    front: Front
     t: float
     area_gap: float
     degenerate: bool
@@ -550,8 +427,7 @@ def total_torsion(curve: SphereCurve) -> TorsionReport:
     torsion sign at least four times.  Planar circles (torsion identically
     zero) are reported as degenerate.  Right-handed Frenet convention.
     """
-    n = curve.n_samples
-    spacing = curve.L / n
+    spacing = curve.L / curve.n_samples
     d1 = _column_deriv(curve.points, 1, spacing)
     d2 = _column_deriv(curve.points, 2, spacing)
     d3 = _column_deriv(curve.points, 3, spacing)
@@ -569,44 +445,4 @@ def total_torsion(curve: SphereCurve) -> TorsionReport:
     pairs, _ = kernels.transitions(tau, 1e-7 * top)
     return TorsionReport(
         integral=integral, degenerate=False, sign_changes=len(pairs), tau=tau
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class SphereLemmaReport:
-    t_values: np.ndarray
-    max_deviation: float
-    deviations: np.ndarray
-    skipped: np.ndarray
-
-
-def mean_attainment_front_check(
-    curve: SphereCurve, t_values: Sequence[float], guard: float = 0.05
-) -> SphereLemmaReport:
-    """Attainment parameters keep mean front curvature under propagation.
-
-    At parameters s* with k_g(s*) = (2 pi - A)/L, the measured front
-    curvature must equal (2 pi - A_t)/L_t computed from the measured front
-    area and signed length.
-    """
-    profile = curvature_profile(curve)
-    stars = profile.crossing_params
-    ts = np.asarray(list(t_values), dtype=float)
-    devs = np.full(ts.shape, np.nan)
-    skipped = np.zeros(ts.shape, dtype=bool)
-    for i, t in enumerate(ts):
-        front = propagate_sphere(curve, t)
-        if float(np.min(np.abs(front.factor))) < guard:
-            skipped[i] = True
-            continue
-        kfn = periodic_interpolant(front.s, front.k, front.period)
-        kbar_t = (TWO_PI - front.area) / front.signed_length
-        vals = np.array([eval_scalar(kfn, p) for p in stars])
-        devs[i] = float(np.max(np.abs(vals - kbar_t))) if stars.size else 0.0
-    valid = devs[~skipped]
-    return SphereLemmaReport(
-        t_values=ts,
-        max_deviation=float(valid.max()) if valid.size else 0.0,
-        deviations=devs,
-        skipped=skipped,
     )

@@ -19,6 +19,7 @@ import numpy as np
 from . import _kernels as kernels
 from .curves import (
     EUCLIDEAN,
+    PLANE,
     TWO_PI,
     SampledCurve,
     arclength_resample,
@@ -26,6 +27,7 @@ from .curves import (
     fourier_antiderivative,
     parametric_area,
     periodic_interpolant,
+    unit_speed_curvature,
 )
 from .errors import BadParametrizationError, DegenerateSamplingError, NonConvexError
 
@@ -226,22 +228,11 @@ def euclidean_curve_from_points(points, n_samples: int = 1024) -> SampledCurve:
     pts, s, length, _ = arclength_resample(point_fn, int(n_samples), speed_fn)
     n = len(pts)
     spacing = length / n
-    d1 = np.column_stack(
-        [kernels.periodic_deriv(pts[:, j], 1, spacing) for j in range(2)]
-    )
-    d2 = np.column_stack(
-        [kernels.periodic_deriv(pts[:, j], 2, spacing) for j in range(2)]
-    )
-    speed = np.linalg.norm(d1, axis=1)
-    err = float(np.max(np.abs(speed - 1.0)))
-    if err > 1e-6:
-        raise BadParametrizationError(f"|gamma'| deviates from 1 by {err:.3g}")
-    k = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
+    k, normal, _ = unit_speed_curvature(pts, spacing, PLANE)
     area = parametric_area(pts, length)
     if area <= 0.0:
         raise BadParametrizationError("expected a counterclockwise loop")
-    tangent = d1 / speed[:, None]
-    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    tangent = np.column_stack([-normal[:, 1], normal[:, 0]])
     return SampledCurve(
         geometry=EUCLIDEAN,
         points=pts,

@@ -10,22 +10,22 @@ and the isoperimetric defect L^2 - 4 pi A is invariant in t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .curves import (
     EUCLIDEAN,
-    ROOT_XTOL,
     TWO_PI,
-    CrossingReport,
+    Front,
+    LemmaReport,
     SampledCurve,
+    _curvature_callable,
     curvature_profile,
     defect_value,
     eval_scalar,
-    parametric_area,
-    periodic_interpolant,
+    fft_deriv,
+    propagate_front,
 )
 from .errors import AtCuspError, DegenerateProfileError, NotContainedError
 
@@ -35,104 +35,21 @@ CUSP_GUARD = 1e-6
 DEGENERATE_TOL = 1e-7
 
 
-@dataclass(frozen=True, eq=False)
-class Front:
-    """Snapshot of an equidistant front of a plane oval."""
-
-    base: SampledCurve
-    t: float
-    points: np.ndarray
-    regularity: np.ndarray  # sign of 1 + t k per sample
-    cusps: np.ndarray  # refined parameter values with 1 + t k = 0
-    signed_length: float
-    area: float
-
-    @property
-    def factor(self) -> np.ndarray:
-        return 1.0 + self.t * self.base.k
-
-    # duck-typed accessors shared with the sphere/hyperbolic fronts
-    @property
-    def s(self) -> np.ndarray:
-        return self.base.s
-
-    @property
-    def param(self) -> np.ndarray:
-        p = self.base.param
-        return p if p is not None else self.base.s
-
-    @property
-    def period(self) -> float:
-        return self.base.period
-
-    @property
-    def geometry(self) -> str:
-        return EUCLIDEAN
-
-
-def _curvature_callable(curve: SampledCurve):
-    if curve.curv_fn is not None:
-        return curve.curv_fn
-    param = curve.param if curve.param is not None else curve.s
-    return periodic_interpolant(param, curve.k, curve.period)
-
-
-def _refine_factor_roots(curve: SampledCurve, t: float) -> np.ndarray:
-    """Parameters where 1 + t k = 0, bracketed on the grid and bisected."""
-    from . import _kernels as kernels
-
-    factor = 1.0 + t * curve.k
-    pairs, _ = kernels.transitions(factor, 0.0)
-    if len(pairs) == 0:
-        return np.empty(0, dtype=float)
-    param = curve.param if curve.param is not None else curve.s
-    period = curve.period
-    kfn = _curvature_callable(curve)
-
-    def g(x):
-        return 1.0 + t * eval_scalar(kfn, x)
-
-    roots = np.empty(len(pairs), dtype=float)
-    for row, (i, j) in enumerate(pairs):
-        lo, hi = param[i], param[j]
-        if hi <= lo:
-            hi += period
-        roots[row] = brentq(g, lo, hi, xtol=ROOT_XTOL) % period
-    return np.sort(roots)
-
-
 def propagate(curve: SampledCurve, t: float) -> Front:
     """Propagate an oval a signed distance t along its outward normals."""
     if curve.geometry != EUCLIDEAN:
         raise ValueError("plane propagation needs a Euclidean curve")
-    if curve.normal is None or curve.w is None:
-        raise ValueError("curve lacks normal/quadrature data")
-    factor = 1.0 + t * curve.k
-    points = curve.points + t * curve.normal
-    cusps = _refine_factor_roots(curve, t) if t != 0.0 else np.empty(0)
-    signed_length = float(np.sum(factor * curve.w))
-    area = parametric_area(points, curve.period)
-    return Front(
-        base=curve,
-        t=float(t),
-        points=points,
-        regularity=np.sign(factor).astype(np.int8),
-        cusps=cusps,
-        signed_length=signed_length,
-        area=area,
-    )
+    return propagate_front(curve, t)
 
 
 def front_curvature(front: Front, index: int) -> float:
     """Front curvature k/(1 + t k) at one sample; refuses near cusps."""
     k = float(front.base.k[index])
     factor = 1.0 + front.t * k
-    param = front.base.param if front.base.param is not None else front.base.s
-    p = float(param[index])
+    p = float(front.param[index])
     if front.cusps.size:
-        period = front.base.period
         gap = np.abs(front.cusps - p)
-        dist = float(np.min(np.minimum(gap, period - gap)))
+        dist = float(np.min(np.minimum(gap, front.period - gap)))
         if dist < CUSP_GUARD:
             raise AtCuspError(f"sample {index} is {dist:.3g} from a cusp")
     if abs(factor) < 1e-12:
@@ -233,14 +150,6 @@ def critical_front(curve: SampledCurve, degenerate_tol: float = DEGENERATE_TOL):
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LemmaReport:
-    t_values: np.ndarray
-    max_deviation: float
-    deviations: np.ndarray
-    skipped: np.ndarray
-
-
 def propagation_lemma_check(
     curve: SampledCurve, t_values: Sequence[float], guard: float = 0.05
 ) -> LemmaReport:
@@ -265,13 +174,7 @@ def propagation_lemma_check(
         kt = k_star / (1.0 + t * k_star)
         kbar_t = TWO_PI / (curve.L + TWO_PI * t)
         devs[i] = float(np.max(np.abs(kt - kbar_t))) if stars.size else 0.0
-    valid = devs[~skipped]
-    return LemmaReport(
-        t_values=ts,
-        max_deviation=float(valid.max()) if valid.size else 0.0,
-        deviations=devs,
-        skipped=skipped,
-    )
+    return LemmaReport.from_deviations(ts, devs, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +233,8 @@ def enclosure_inequality_check(inner: SampledCurve, outer) -> EnclosureReport:
 
 def tangent_winding(front: Front) -> int:
     """Winding number of the front's (sign-corrected) tangent direction."""
-    from .curves import fft_deriv
-
-    dx = fft_deriv(front.points[:, 0], front.base.period)
-    dy = fft_deriv(front.points[:, 1], front.base.period)
+    dx = fft_deriv(front.points[:, 0], front.period)
+    dy = fft_deriv(front.points[:, 1], front.period)
     sign = np.where(front.regularity == 0, 1, front.regularity)
     theta = np.arctan2(sign * dy, sign * dx)
     steps = np.angle(np.exp(1j * (np.roll(theta, -1) - theta)))

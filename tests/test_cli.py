@@ -312,6 +312,18 @@ def test_export_matches_golden(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("geometry", ["sphere", "hyperbolic"])
+def test_propagate_matches_golden(tmp_path, geometry):
+    # fronts, cusps, measured areas and the Steiner closed forms of a curved
+    # geometry, pinned byte for byte
+    code = main(["propagate", "--input", str(GOLDEN / f"{geometry}_spec.json"),
+                 "--out", str(tmp_path), "--t=-0.2:0.4:0.1", "--format", "json"])
+    assert code == EXIT_PASS
+    assert (tmp_path / "propagate_report.json").read_bytes() == (
+        GOLDEN / f"propagate_{geometry}.json"
+    ).read_bytes()
+
+
 def test_export_sphere_svg_branch(tmp_path):
     spec = write_spec(tmp_path, {"geometry": "spherical",
                                  "representation": "perturbed_circle", "rho": 0.7})

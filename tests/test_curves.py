@@ -7,14 +7,21 @@ from hypothesis import strategies as st
 
 from ovalfront import (
     CurvatureProfile,
+    BadParametrizationError,
     DegenerateProfileError,
     SampledCurve,
     count_mean_crossings,
     curvature_profile,
     ellipse_oval,
+    hyperbolic_circle,
+    sphere_circle,
+    total_torsion,
     unit_circle,
 )
 from ovalfront.curves import (
+    PLANE,
+    SPEED_TOL,
+    _column_deriv,
     arclength_resample,
     average_curvature,
     closed_spline_through,
@@ -24,6 +31,8 @@ from ovalfront.curves import (
     parametric_area,
     periodic_interpolant,
     radius_profile,
+    space_form,
+    unit_speed_curvature,
 )
 from ovalfront.errors import NonUniformGridError
 
@@ -179,3 +188,31 @@ def test_ellipse_scaling_properties(a, b):
     assert e.A == pytest.approx(np.pi * a * b, rel=1e-9)
     total_turn = float(np.sum(e.k * e.w))
     assert total_turn == pytest.approx(TWO_PI, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# unit-speed gate
+
+
+@pytest.mark.parametrize(
+    "build, k_exact",
+    [(sphere_circle, 1.0 / np.tan(0.8)), (hyperbolic_circle, 1.0 / np.tanh(0.8))],
+)
+def test_curved_gate_bounds_curvature_error_on_coarse_grids(build, k_exact):
+    # at n = 32 the stencil speed is off by ~5e-5 but the grid is unit-speed
+    curve = build(0.8, n_samples=32)
+    d1 = _column_deriv(curve.points, 1, curve.L / curve.n_samples)
+    stencil_err = float(np.max(np.abs(space_form(curve.geometry).norm(d1) - 1.0)))
+    assert stencil_err > 10 * SPEED_TOL
+    # the curvature carries the stencil's error: 5/3 of its speed error
+    assert np.max(np.abs(curve.k / k_exact - 1.0)) <= 2.0 * stencil_err
+
+
+def test_plane_and_torsion_gates_use_the_stencil_speed():
+    n = 32
+    u = np.arange(n) * (TWO_PI / n)
+    circle = np.column_stack([np.cos(u), np.sin(u)])  # spectrally exact speed
+    with pytest.raises(BadParametrizationError):
+        unit_speed_curvature(circle, TWO_PI / n, PLANE)
+    with pytest.raises(BadParametrizationError):
+        total_torsion(sphere_circle(0.8, n_samples=n))

@@ -1,21 +1,9 @@
-"""Kernel backend tests: correctness, convergence order, backend parity."""
-
-import importlib
+"""Sampling kernel tests: correctness and convergence order."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ovalfront._kernels import BACKEND, periodic_deriv, transitions, trig_eval
-from ovalfront._kernels import reference as ref
-
-try:
-    nat = importlib.import_module("ovalfront._kernels._native")
-except ImportError:  # extension not built in this environment
-    nat = None
-
-needs_native = pytest.mark.skipif(nat is None, reason="compiled backend not built")
 
 
 # ---------------------------------------------------------------------------
@@ -125,52 +113,5 @@ def test_transitions_all_in_band():
     assert len(pairs) == 0 and len(touches) == 0
 
 
-# ---------------------------------------------------------------------------
-# backend parity
-
-
-@needs_native
-@given(
-    data=st.lists(
-        st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=8, max_size=64
-    ),
-    order=st.integers(min_value=1, max_value=3),
-)
-@settings(max_examples=150, deadline=None)
-def test_native_matches_reference_periodic_deriv(data, order):
-    v = np.asarray(data)
-    a = ref.periodic_deriv(v, order, 0.37)
-    b = nat.periodic_deriv(v, order, 0.37)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-@needs_native
-@given(
-    data=st.lists(
-        st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=4, max_size=48
-    ),
-    tol=st.floats(min_value=0.0, max_value=1.0),
-)
-@settings(max_examples=150, deadline=None)
-def test_native_matches_reference_transitions(data, tol):
-    v = np.asarray(data)
-    pa, ta = ref.transitions(v, tol)
-    pb, tb = nat.transitions(v, tol)
-    assert np.array_equal(pa, pb)
-    assert np.array_equal(ta, tb)
-
-
-@needs_native
-def test_native_matches_reference_trig_eval():
-    rng = np.random.default_rng(3)
-    for deriv in range(4):
-        c = rng.normal(size=12)
-        s = rng.normal(size=12)
-        x = rng.uniform(-10, 10, size=33)
-        np.testing.assert_allclose(
-            ref.trig_eval(c, s, x, deriv), nat.trig_eval(c, s, x, deriv), atol=1e-9
-        )
-
-
 def test_backend_selection_reports_something_sane():
-    assert BACKEND in ("native", "reference")
+    assert BACKEND == "reference"

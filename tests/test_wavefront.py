@@ -13,11 +13,13 @@ from ovalfront import (
     build_oval,
     critical_front,
     ellipse_oval,
+    hyperbolic_circle,
     enclosure_inequality_check,
     front_curvature,
     isoperimetric_defect,
     propagate,
     propagation_lemma_check,
+    sphere_circle,
     steiner_check,
     tangent_winding,
     unit_circle,
@@ -100,6 +102,14 @@ def test_isoperimetric_defect_invariance(wavy_oval):
     for t in np.linspace(-0.4, 1.0, 11):
         dt = isoperimetric_defect(wavy_oval, float(t))
         assert dt == pytest.approx(d0, rel=1e-9)
+
+
+def test_plane_checks_refuse_curved_curves():
+    # the Steiner polynomials and L^2 - 4 pi A are plane formulas
+    with pytest.raises(ValueError):
+        isoperimetric_defect(sphere_circle(0.8), 0.1)
+    with pytest.raises(ValueError):
+        propagate(hyperbolic_circle(0.8), 0.1)
 
 
 def test_critical_front_length_vanishes(wavy_oval):
