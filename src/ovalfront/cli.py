@@ -35,6 +35,7 @@ from .errors import (
     DegenerateProfileError,
     InvalidSpecError,
     NotHorocyclicallyConvexError,
+    NumericalFailureError,
     OvalfrontError,
 )
 from .harmonics import spectrum, verify_sturm_hurwitz
@@ -61,6 +62,7 @@ from .wavefront import critical_front, propagate, propagation_lemma_check, stein
 EXIT_PASS = 0
 EXIT_THEOREM_FAIL = 1
 EXIT_INPUT_ERROR = 2
+EXIT_NUMERICAL_FAILURE = 3
 
 ENV_PREFIX = "OVALFRONT_"
 FORMATS = ("csv", "json", "svg")
@@ -638,6 +640,9 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return _COMMANDS[cfg.command](cfg)
+    except NumericalFailureError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
     except (OvalfrontError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

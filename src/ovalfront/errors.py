@@ -67,3 +67,11 @@ class InvalidSpecError(OvalfrontError):
 
 class SpecFormatError(OvalfrontError):
     """Curve description file cannot be parsed or fails schema validation."""
+
+
+class NumericalFailureError(OvalfrontError):
+    """An internal computation on accepted input failed its own accuracy gate.
+
+    Examples: a shooting that does not close, area oracles that disagree.
+    The CLI reports it apart from invalid input.
+    """

@@ -9,12 +9,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OvalfrontError
+from .errors import DegenerateSamplingError, OvalfrontError
 from .hyperbolic import HyperbolicCurve, perturbed_hyperbolic_circle
 from .sphere import SphereCurve, perturbed_sphere_circle, tennis_seam
 from .support import SupportOval, build_oval
 
 DEFAULT_SEED = 1786
+MAX_DRAWS_PER_CURVE = 100  # draws allowed per requested curve before giving up
+
+
+def _accepted(count: int, draw) -> list:
+    """Call ``draw`` until ``count`` curves are accepted.
+
+    ``draw`` returns a curve, or None for a rejected draw; an
+    :class:`OvalfrontError` also rejects.  Raises
+    :class:`DegenerateSamplingError` once ``MAX_DRAWS_PER_CURVE * count``
+    draws have not produced ``count`` curves.
+    """
+    out: list = []
+    cap = MAX_DRAWS_PER_CURVE * count
+    for _ in range(cap):
+        if len(out) == count:
+            break
+        try:
+            curve = draw()
+        except OvalfrontError:
+            continue
+        if curve is not None:
+            out.append(curve)
+    if len(out) < count:
+        raise DegenerateSamplingError(
+            f"{cap - len(out)} of {cap} draws rejected; accepted {len(out)} of {count} curves"
+        )
+    return out
 
 
 def random_support_ovals(
@@ -32,24 +59,21 @@ def random_support_ovals(
     rejected and redrawn.
     """
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
+
+    def draw():
         coeffs = [(1.0, 0.0), (0.0, 0.0)]
         for m in range(2, n_max + 1):
             sigma = 0.08 / m**2
             coeffs.append((rng.normal(0.0, sigma), rng.normal(0.0, sigma)))
-        oval = SupportOval(coeffs=tuple(coeffs), n_samples=n_samples)
-        try:
-            curve = build_oval(oval)
-        except OvalfrontError:
-            continue
+        curve = build_oval(SupportOval(coeffs=tuple(coeffs), n_samples=n_samples))
         radii = 1.0 / curve.k
         if float(np.min(radii)) <= min_radius:
-            continue
+            return None
         if float(np.max(radii) - np.min(radii)) <= min_variation:
-            continue
-        out.append(curve)
-    return out
+            return None
+        return curve
+
+    return _accepted(count, draw)
 
 
 def random_trig_polys(
@@ -87,26 +111,24 @@ def random_perturbed_sphere_circles(
 ):
     """Random convex perturbed circles contained in an open hemisphere."""
     rng = np.random.default_rng(seed)
-    out: list[SphereCurve] = []
-    while len(out) < count:
+
+    def draw():
         rho = rng.uniform(0.5, 1.0)
         orders = rng.choice([2, 3, 4, 5], size=2, replace=False)
         harmonics = [
             (int(m), rng.normal(0.0, 0.12 / m**2), rng.uniform(0.0, 2.0 * np.pi))
             for m in orders
         ]
-        try:
-            curve = perturbed_sphere_circle(rho, harmonics, n_samples=n_samples)
-        except OvalfrontError:
-            continue
+        curve = perturbed_sphere_circle(rho, harmonics, n_samples=n_samples)
         if curve.pole is None:
-            continue
+            return None
         if float(np.min(curve.k)) <= min_curvature:
-            continue
+            return None
         if float(np.max(curve.k) - np.min(curve.k)) <= 1e-4:
-            continue
-        out.append(curve)
-    return out
+            return None
+        return curve
+
+    return _accepted(count, draw)
 
 
 def random_hyperbolic_ovals(
@@ -117,24 +139,22 @@ def random_hyperbolic_ovals(
 ):
     """Random horocyclically convex perturbed circles on the hyperboloid."""
     rng = np.random.default_rng(seed)
-    out: list[HyperbolicCurve] = []
-    while len(out) < count:
+
+    def draw():
         rho = rng.uniform(0.8, 1.4)
         orders = rng.choice([2, 3, 4, 5], size=2, replace=False)
         harmonics = [
             (int(m), rng.normal(0.0, 0.08 / m**2), rng.uniform(0.0, 2.0 * np.pi))
             for m in orders
         ]
-        try:
-            curve = perturbed_hyperbolic_circle(rho, harmonics, n_samples=n_samples)
-        except OvalfrontError:
-            continue
+        curve = perturbed_hyperbolic_circle(rho, harmonics, n_samples=n_samples)
         if float(np.min(curve.k)) <= min_curvature:
-            continue
+            return None
         if float(np.max(curve.k) - np.min(curve.k)) <= 1e-4:
-            continue
-        out.append(curve)
-    return out
+            return None
+        return curve
+
+    return _accepted(count, draw)
 
 
 def torsion_test_curves(count: int = 20, seed: int = DEFAULT_SEED, n_samples: int = 1024):
@@ -145,18 +165,17 @@ def torsion_test_curves(count: int = 20, seed: int = DEFAULT_SEED, n_samples: in
     """
     rng = np.random.default_rng(seed)
     n_wavy = max(count // 4, 1)
-    out: list[SphereCurve] = []
-    while len(out) < count - n_wavy:
+
+    def draw():
         rho = rng.uniform(0.6, 1.0)
         m = int(rng.choice([2, 3, 4]))
         harmonics = [(m, rng.normal(0.0, 0.15 / m**2), rng.uniform(0.0, 2.0 * np.pi))]
-        try:
-            curve = perturbed_sphere_circle(rho, harmonics, n_samples=n_samples)
-        except OvalfrontError:
-            continue
+        curve = perturbed_sphere_circle(rho, harmonics, n_samples=n_samples)
         if float(np.max(curve.k) - np.min(curve.k)) <= 1e-4:
-            continue
-        out.append(curve)
+            return None
+        return curve
+
+    out: list[SphereCurve] = _accepted(count - n_wavy, draw)
     while len(out) < count:
         beta = rng.uniform(0.15, 0.3)
         out.append(tennis_seam(beta, n_samples=n_samples))

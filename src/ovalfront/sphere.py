@@ -49,7 +49,7 @@ from .errors import (
     InvalidSpecError,
     NotBisectingError,
     NotInHemisphereError,
-    OvalfrontError,
+    NumericalFailureError,
 )
 
 UNIT_NORM_TOL = 1e-10
@@ -195,7 +195,7 @@ def _finish_sphere_curve(points, s, length, area_pole=None, curv_fn=None) -> Sph
     # not false-alarm while orientation bugs (O(1) disagreement) still trip
     fan_tol = max(1e-5, 60.0 / n**2)
     if abs(fan - area) > fan_tol:
-        raise OvalfrontError(
+        raise NumericalFailureError(
             f"area oracles disagree: green={area:.8g} fan={fan:.8g}"
         )
     return SphereCurve(

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ovalfront import hyperbolic
 from ovalfront.cli import (
     EXIT_INPUT_ERROR,
+    EXIT_NUMERICAL_FAILURE,
     EXIT_PASS,
     EXIT_THEOREM_FAIL,
     main,
@@ -298,6 +300,17 @@ def test_counterexample_below_threshold(tmp_path):
     assert report["mean_below_coth"] is False
     assert report["counterexample"] is False
     assert report["expected_outcome"] is True
+
+
+def test_counterexample_shooting_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a shooting residual that never vanishes trips the 5e-10 closure gate
+    monkeypatch.setattr(hyperbolic, "_shoot_half", lambda r, c, eps, lengths: np.array([1e-3, 0.0]))
+    code = main(["counterexample", "--r", "2.0", "--out", str(tmp_path),
+                 "--samples", "512", "--format", "json"])
+    assert code == EXIT_NUMERICAL_FAILURE == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: corner shooting failed to close")
+    assert not (tmp_path / "counterexample_report.json").exists()
 
 
 # ---------------------------------------------------------------------------

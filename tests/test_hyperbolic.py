@@ -30,6 +30,7 @@ from ovalfront import (
     semicircle_mean_gap,
     semicircle_reference,
 )
+from ovalfront.hyperbolic import _so21_exp, mdot
 
 TWO_PI = 2.0 * np.pi
 
@@ -220,6 +221,35 @@ def test_semicircle_build_quality(semicircle_r2):
     assert {-1, 1} <= present  # flat side vs circular arc
 
 
+# (r, L, A) of the rounded semicircle at n = 4096 from an independent
+# DOP853 integration (rtol 1e-13) of the frame equations
+DOP853_SEMICIRCLES = [
+    (0.9, 5.006093782050853, 1.3754721229703726),
+    (1.6, 10.412591031382135, 4.806662815789616),
+    (2.0, 14.763393709929936, 8.191327430459252),
+]
+
+
+@pytest.mark.parametrize("r, length, area", DOP853_SEMICIRCLES)
+def test_semicircle_matches_dop853_reference(r, length, area, semicircle_r2):
+    curve = semicircle_r2 if r == 2.0 else build_rounded_semicircle(RoundedSemicircleSpec(r=r))
+    assert curve.L == pytest.approx(length, abs=1e-9)
+    assert curve.A == pytest.approx(area, abs=1e-9)
+
+
+# radii where a generic shooting's cost jumped, spanning both sides of r*
+@pytest.mark.parametrize("r", [0.8, 1.2, 2.25, 2.26, 2.5])
+def test_semicircle_closes_on_the_hyperboloid(r):
+    curve = build_rounded_semicircle(RoundedSemicircleSpec(r=r))
+    assert curve.build_residual < 1e-10
+    assert curve.gb_residual < 1e-10
+    # the sampled frame is used as integrated, with no projection
+    x, tvec = curve.points, curve.tangent
+    assert np.max(np.abs(mdot(x, x) + 1.0)) <= 1e-10
+    assert np.max(np.abs(mdot(tvec, tvec) - 1.0)) <= 1e-10
+    assert np.max(np.abs(mdot(x, tvec))) <= 1e-10
+
+
 def test_semicircle_near_sharp_reference(semicircle_r2):
     sharp_len, sharp_area, sharp_mean = semicircle_reference(2.0)
     assert sharp_mean == pytest.approx(SHARP_R2_MEAN, abs=1e-12)
@@ -256,6 +286,25 @@ def test_threshold_radius():
     assert report.r_star == pytest.approx(THRESHOLD_R, abs=1e-9)
     assert report.sign_changes == 1
     assert semicircle_mean_gap(0.5) < 0.0 < semicircle_mean_gap(2.0)
+
+
+def test_threshold_scan_matches_scalar_gaps():
+    rs = np.linspace(0.05, 5.0, 4096)
+    scalar = np.array([semicircle_mean_gap(r) for r in rs])
+    np.testing.assert_allclose(semicircle_mean_gap(rs), scalar, rtol=1e-14, atol=1e-15)
+
+
+def test_so21_exponential_matches_expm():
+    from scipy.linalg import expm
+
+    # lam = a^2 - b^2 + c^2 positive, negative, tiny, and exactly zero
+    a = np.array([0.3, 0.01, 1e-6, 0.2, 2.0])
+    b = np.array([0.1, 0.8, 2e-6, 0.2, 1.0])
+    c = np.array([0.05, -0.02, 1e-6, 0.0, -0.5])
+    exps = _so21_exp(a, b, c)
+    for i in range(len(a)):
+        omega = [[0.0, a[i], -c[i]], [a[i], 0.0, -b[i]], [-c[i], b[i], 0.0]]
+        np.testing.assert_allclose(exps[i], expm(np.array(omega)), rtol=0, atol=1e-14)
 
 
 def test_spec_validation():
