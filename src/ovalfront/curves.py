@@ -144,9 +144,47 @@ class SpaceForm:
         """Ambient length over the last axis; 0 for non-spacelike vectors."""
         return np.sqrt(np.maximum(self.dot(v, v), 0.0))
 
+    def polar_frame(self, center: np.ndarray):
+        """Orthonormal tangent pair (e1, e2) at ``center`` for polar angles.
+
+        e1 = seed - K<seed, c> c and e2 = cross(c, e1).  The seed is the first
+        spacelike coordinate axis with <e1, e1> > 1 - 0.9^2: on the sphere one
+        with |<seed, c>| < 0.9, on the hyperboloid always the x1 axis.
+        """
+        axes = np.eye(3)
+        for seed in axes[self.dot(axes, axes) > 0.0]:
+            e1 = seed - self.K * self.dot(seed, center) * center
+            if self.dot(e1, e1) > 1.0 - 0.9**2:
+                break
+        e1 = e1 / self.norm(e1)
+        return e1, self.cross(center, e1)
+
+    def green_weight(self, x: np.ndarray, center: np.ndarray) -> np.ndarray:
+        """Polar area density (1 - K<x, c>)/K: 1 - cos r or cosh r - 1."""
+        return np.maximum((1.0 - self.K * self.dot(x, center)) / self.K, 0.0)
+
+    def green_area(self, points: np.ndarray, center: np.ndarray, spacing: float) -> float:
+        """Enclosed area loop(green_weight dphi) in polar coordinates about ``center``.
+
+        ``center`` must lie inside the loop.  The polar angle is split into a
+        winding ramp plus a periodic remainder, and only the remainder is
+        differentiated, so the result is spectrally accurate for smooth loops.
+        """
+        e1, e2 = self.polar_frame(center)
+        phi = np.arctan2(self.dot(points, e2), self.dot(points, e1))
+        steps = np.angle(np.exp(1j * (np.roll(phi, -1) - phi)))
+        winding = float(steps.sum()) / TWO_PI
+        n = len(phi)
+        ramp = winding * TWO_PI * np.arange(n) / n
+        periodic = np.cumsum(np.concatenate([[0.0], steps[:-1]])) - ramp + phi[0]
+        dphi = kernels.periodic_deriv(periodic, 1, spacing) + winding * TWO_PI / (n * spacing)
+        return float(np.sum(self.green_weight(points, center) * dphi) * spacing)
+
 
 def euclidean_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean inner product over the last axis."""
+    if np.ndim(b) == 1:  # against one vector: a matrix product, several times faster
+        return a @ b
     return np.sum(a * b, axis=-1)
 
 
@@ -187,6 +225,21 @@ def gauss_bonnet_residual(curve) -> float:
     """|integral(k ds) - (2 pi - K A)| for the measured curve."""
     total = float(np.sum(np.asarray(curve.k) * np.asarray(curve.w)))
     return abs(total - (TWO_PI - space_form(curve.geometry).K * curve.A))
+
+
+def steiner_closed_form(curve, t):
+    """Signed length and area of the front at distance t, in closed form.
+
+    L_t = L c_K + (2 pi - K A) s_K.  A_t = A + L t + pi t^2 in the plane, and
+    K 2 pi + L s_K - K (2 pi - K A) c_K for K = +-1, where 1/K = K.
+    """
+    form = space_form(curve.geometry)
+    c, s = form.c(t), form.s(t)
+    b = TWO_PI - form.K * curve.A
+    length = curve.L * c + b * s
+    if form.K == 0:
+        return length, curve.A + curve.L * t + np.pi * t**2
+    return length, form.K * TWO_PI + curve.L * s - form.K * b * c
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +464,6 @@ def unit_speed_curvature(points: np.ndarray, spacing: float, form: SpaceForm):
     k = _triple(form, points, d1, d2) / speed**3
     nu = form.cross(d1, points)
     return k, nu / form.norm(nu)[:, None], d1
-
-
-def polar_green_area(weight: np.ndarray, phi: np.ndarray, spacing: float) -> float:
-    """Enclosed area loop(weight dphi) in polar coordinates about an interior point.
-
-    ``phi`` is the wrapped polar angle of each sample and ``weight`` the
-    radial area density (1 - cos r on the sphere, cosh r - 1 on the
-    hyperboloid).  The angle is split into a winding ramp plus a periodic
-    remainder, and only the remainder is differentiated.
-    """
-    steps = np.angle(np.exp(1j * (np.roll(phi, -1) - phi)))
-    winding = float(steps.sum()) / TWO_PI
-    n = len(phi)
-    ramp = winding * TWO_PI * np.arange(n) / n
-    periodic = np.cumsum(np.concatenate([[0.0], steps[:-1]])) - ramp + phi[0]
-    dphi = kernels.periodic_deriv(periodic, 1, spacing) + winding * TWO_PI / (n * spacing)
-    return float(np.sum(weight * dphi) * spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -689,3 +725,17 @@ def closed_spline_through(points: np.ndarray, form: SpaceForm = PLANE):
         return form.norm(dspline(np.mod(t, TWO_PI)))
 
     return point_fn, speed_fn
+
+
+def resample_surface_loop(points: np.ndarray, n_samples: int, form: SpaceForm, project):
+    """``(points, s, L)`` of a point loop on the sphere or hyperboloid at uniform arc length.
+
+    ``project`` maps ambient points onto the surface.  Projecting the spline
+    samples perturbs their speed slightly, so the resampling runs twice.
+    """
+    resampled = project(points)
+    for _ in range(2):
+        point_fn, speed_fn = closed_spline_through(resampled, form)
+        pts, s, length, _ = arclength_resample(point_fn, int(n_samples), speed_fn)
+        resampled = project(pts)
+    return resampled, s, length

@@ -39,16 +39,15 @@ from .curves import (
     Front,
     SampledCurve,
     SpaceForm,
-    arclength_resample,
-    closed_spline_through,
+    _param,
     count_mean_crossings,
     curvature_profile,
     harmonic_radius,
     mean_attainment_front_check,
     polar_circle,
     polar_curve,
-    polar_green_area,
     propagate_front,
+    resample_surface_loop,
     unit_speed_curvature,
 )
 # the shared K-indexed residual, under its hyperbolic name
@@ -102,22 +101,29 @@ def normalize_timelike(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(q)[..., None] if v.ndim > 1 else v / np.sqrt(q)
 
 
-def _normalize_spacelike(v: np.ndarray) -> np.ndarray:
-    q = mdot(v, v)
-    return v / np.sqrt(q)[..., None] if v.ndim > 1 else v / np.sqrt(q)
-
-
 @dataclass(frozen=True, eq=False, kw_only=True)
 class HyperbolicCurve(SampledCurve):
-    """Closed hyperboloid-model curve with convexity classification."""
+    """Closed hyperboloid-model curve; its convexity class is read off ``k``."""
 
-    min_k: float = float("nan")
-    min_k_param: float = float("nan")
-    horocyclic_convex: bool = False
-    curvature_class: Optional[np.ndarray] = None
     center: Optional[np.ndarray] = None
     gb_residual: float = float("nan")
     build_residual: float = float("nan")
+
+    @property
+    def min_k(self) -> float:
+        return float(np.min(self.k))
+
+    @property
+    def min_k_param(self) -> float:
+        return float(_param(self)[np.argmin(self.k)])
+
+    @property
+    def horocyclic_convex(self) -> bool:
+        return self.min_k > 1.0 + HOROCYCLIC_MARGIN
+
+    @property
+    def curvature_class(self) -> np.ndarray:
+        return classify_curvature(self.k)
 
 
 def classify_curvature(k: np.ndarray, band: float = CLASS_BAND) -> np.ndarray:
@@ -141,23 +147,9 @@ def geodesic_curvature_h(points: np.ndarray, spacing: float):
     return unit_speed_curvature(points, spacing, HYPERBOLOID)
 
 
-def _polar_frame(center: np.ndarray):
-    seed = np.array([0.0, 1.0, 0.0])
-    e1 = seed + mdot(seed, center) * center
-    if mdot(e1, e1) < 1e-12:
-        seed = np.array([0.0, 0.0, 1.0])
-        e1 = seed + mdot(seed, center) * center
-    e1 = _normalize_spacelike(e1)
-    e2 = mcross(center, e1)
-    return e1, e2
-
-
 def hyperbolic_area_green(points: np.ndarray, center: np.ndarray, spacing: float) -> float:
     """Enclosed area by the polar identity A = loop(cosh r - 1) dphi about center."""
-    e1, e2 = _polar_frame(center)
-    cosh_r = np.maximum(-mdot(points, center), 1.0)
-    phi = np.arctan2(mdot(points, e2), mdot(points, e1))
-    return polar_green_area(cosh_r - 1.0, phi, spacing)
+    return HYPERBOLOID.green_area(points, center, spacing)
 
 
 def _front_area(points: np.ndarray, curve, period: float):
@@ -197,8 +189,6 @@ def _finish_hyperbolic_curve(points, s, length, center=None, curv_fn=None) -> Hy
     area = hyperbolic_area_green(points, center, spacing)
     w = np.full(n, spacing)
     gb = abs(float(np.sum(k) * spacing) - (TWO_PI + area))
-    imin = int(np.argmin(k))
-    min_k = float(k[imin])
     s_arr = np.asarray(s, dtype=float)
     return HyperbolicCurve(
         geometry=HYPERBOLIC,
@@ -212,10 +202,6 @@ def _finish_hyperbolic_curve(points, s, length, center=None, curv_fn=None) -> Hy
         normal=nu,
         w=w,
         curv_fn=curv_fn,
-        min_k=min_k,
-        min_k_param=float(s_arr[imin]),
-        horocyclic_convex=min_k > 1.0 + HOROCYCLIC_MARGIN,
-        curvature_class=classify_curvature(k),
         center=np.asarray(center, dtype=float),
         gb_residual=gb,
     )
@@ -252,12 +238,8 @@ def hyperbolic_curve_from_points(points, n_samples: int = 1024) -> HyperbolicCur
     raw = np.asarray(points, dtype=float)
     if float(np.max(np.abs(mdot(raw, raw) + 1.0))) > 1e-6:
         raise BadParametrizationError("input points must satisfy <x,x> = -1")
-    resampled = normalize_timelike(raw)
-    for _ in range(2):  # polish: normalization perturbs the speed slightly
-        point_fn, speed_fn = closed_spline_through(resampled, HYPERBOLOID)
-        pts, s, length, _ = arclength_resample(point_fn, int(n_samples), speed_fn)
-        resampled = normalize_timelike(pts)
-    return _finish_hyperbolic_curve(resampled, s, length)
+    loop = resample_surface_loop(raw, n_samples, HYPERBOLOID, normalize_timelike)
+    return _finish_hyperbolic_curve(*loop)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +258,10 @@ def check_horocyclic_convexity(
     curve: HyperbolicCurve, margin: float = HOROCYCLIC_MARGIN
 ) -> HorocyclicReport:
     """Flag whether min k > 1 + margin, with the minimizing parameter."""
-    k = np.asarray(curve.k, dtype=float)
-    imin = int(np.argmin(k))
-    param = np.asarray(curve.param if curve.param is not None else curve.s)
     return HorocyclicReport(
-        horocyclic_convex=bool(k[imin] > 1.0 + margin),
-        min_k=float(k[imin]),
-        min_k_param=float(param[imin]),
+        horocyclic_convex=curve.min_k > 1.0 + margin,
+        min_k=curve.min_k,
+        min_k_param=curve.min_k_param,
         margin=margin,
     )
 
@@ -313,10 +292,7 @@ def propagate_hyperbolic(curve, t: float, force: bool = False) -> Front:
 
 def _refuse_past_cusp_onset(curve, t: float) -> None:
     k = np.asarray(curve.k, dtype=float)
-    hc = getattr(curve, "horocyclic_convex", None)
-    if hc is None:
-        hc = bool(np.min(k) > 1.0 + HOROCYCLIC_MARGIN)
-    if not hc and t < _first_cusp_time(k):
+    if not np.min(k) > 1.0 + HOROCYCLIC_MARGIN and t < _first_cusp_time(k):
         raise NotHorocyclicallyConvexError(
             "negative-time propagation past cusp onset needs a horocyclically "
             "convex curve (or force=True)"
@@ -470,11 +446,11 @@ def _green_area(frames_at, knots, values, center) -> float:
     weights = (0.5 * h)[:, None] * _GL_WEIGHTS
     frames = frames_at(s.ravel())
     x, tvec = frames[:, 0], frames[:, 1]
-    e1, e2 = _polar_frame(center)
+    e1, e2 = HYPERBOLOID.polar_frame(center)
     u, v = mdot(x, e1), mdot(x, e2)
     du, dv = mdot(tvec, e1), mdot(tvec, e2)
-    cosh_r = np.maximum(-mdot(x, center), 1.0)
-    integrand = (cosh_r - 1.0) * (u * dv - v * du) / (u * u + v * v)
+    weight = HYPERBOLOID.green_weight(x, center)
+    integrand = weight * (u * dv - v * du) / (u * u + v * v)
     return float(np.sum(weights.ravel() * integrand))
 
 
@@ -530,10 +506,10 @@ class RoundedSemicircleSpec:
     n_samples: int = 4096
 
     def __post_init__(self):
-        if not self.r > 0.0:
-            raise InvalidSpecError("need r > 0")
-        if not self.corner_scale > 0.0:
-            raise InvalidSpecError("need corner_scale > 0")
+        if not 0.0 < self.r < np.inf:
+            raise InvalidSpecError("need finite r > 0")
+        if not 0.0 < self.corner_scale < np.inf:
+            raise InvalidSpecError("need finite corner_scale > 0")
         if not 0.0 < self.flat_deviation < 1.0:
             raise InvalidSpecError("need 0 < flat_deviation < 1")
         if self.n_samples < 16:
@@ -577,7 +553,7 @@ _START_STATE = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
 
 def _shoot_half(r, corner_scale, flat_deviation, lengths):
     half_flat, half_arc = lengths
-    if half_flat < 1e-6 or half_arc < 1e-6:
+    if not (1e-6 <= half_flat < np.inf and 1e-6 <= half_arc < np.inf):
         return np.array([10.0 + abs(half_flat), 10.0 + abs(half_arc)])
     knots, values = _half_profile(r, corner_scale, flat_deviation, half_flat, half_arc)
     y, _ = _integrate_profile(knots, values, _START_STATE)
@@ -612,7 +588,7 @@ def build_rounded_semicircle(spec: RoundedSemicircleSpec) -> HyperbolicCurve:
         lambda v: _shoot_half(r, c, eps, v), guess, method="hybr", options={"xtol": 1e-12}
     )
     resid = float(np.linalg.norm(_shoot_half(r, c, eps, sol.x)))
-    if resid > 5e-10:
+    if not resid <= 5e-10:  # a NaN residual fails too
         raise NumericalFailureError(f"corner shooting failed to close (residual {resid:.3g})")
     half_flat, half_arc = sol.x
 
@@ -645,13 +621,12 @@ def build_rounded_semicircle(spec: RoundedSemicircleSpec) -> HyperbolicCurve:
     area = float(y_end2[6])
 
     k = np.interp(s, knots, values)
-    total_turn = float(np.trapezoid(values, knots))
+    total_turn = float((np.diff(knots) * (values[1:] + values[:-1]) / 2.0).sum())
     period = length
 
     def curv_fn(x):
         return np.interp(np.mod(x, period), knots, values)
 
-    imin = int(np.argmin(k))
     return HyperbolicCurve(
         geometry=HYPERBOLIC,
         points=points,
@@ -664,10 +639,6 @@ def build_rounded_semicircle(spec: RoundedSemicircleSpec) -> HyperbolicCurve:
         normal=nu,
         w=np.full(n, length / n),
         curv_fn=curv_fn,
-        min_k=float(k[imin]),
-        min_k_param=float(s[imin]),
-        horocyclic_convex=False,
-        curvature_class=classify_curvature(k),
         center=center,
         gb_residual=abs(total_turn - (TWO_PI + area)),
         build_residual=closure,

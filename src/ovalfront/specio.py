@@ -10,6 +10,7 @@ keys, and no timestamps, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .hyperbolic import (
 )
 from .sphere import perturbed_sphere_circle, sphere_curve_from_points, total_torsion
 from .support import SupportOval, build_oval, euclidean_curve_from_points
-from .errors import FrenetBreakdownError
+from .errors import BadParametrizationError, FrenetBreakdownError
 
 SCHEMA_VERSION = 1
 
@@ -52,33 +53,46 @@ def load_curve_spec(path) -> dict:
     return doc
 
 
+def _is_number(v) -> bool:
+    """A JSON number within the finite float range (booleans are not numbers)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return abs(v) <= sys.float_info.max
+
+
+def _require_rows(rows, width: int, what: str) -> None:
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == width and all(map(_is_number, row))):
+            raise SpecFormatError(f"{what} must be rows of {width} finite numbers")
+
+
+def _require_positive(doc, key: str, required: bool = True) -> None:
+    v = doc.get(key)
+    if (v is not None or required) and not (_is_number(v) and v > 0):
+        raise SpecFormatError(f"'{key}' must be a positive number")
+
+
 def _require_points(doc, width: int):
     pts = doc.get("points")
     if not isinstance(pts, list) or len(pts) < 8:
         raise SpecFormatError("'points' must list at least 8 samples")
-    for row in pts:
-        if not isinstance(row, list) or len(row) != width:
-            raise SpecFormatError(f"each point needs {width} coordinates")
-        if not all(isinstance(v, (int, float)) for v in row):
-            raise SpecFormatError("point coordinates must be numbers")
+    _require_rows(pts, width, "'points'")
 
 
-def _require_harmonics(doc, key: str = "harmonics", required: bool = False):
-    rows = doc.get(key)
+def _require_harmonics(doc):
+    rows = doc.get("harmonics")
     if rows is None:
-        if required:
-            raise SpecFormatError(f"missing '{key}'")
         return
     if not isinstance(rows, list):
-        raise SpecFormatError(f"'{key}' must be a list of [order, amp, phase] rows")
+        raise SpecFormatError("'harmonics' must be a list of [order, amp, phase] rows")
+    _require_rows(rows, 3, "'harmonics' [order, amp, phase]")
     for row in rows:
-        if not isinstance(row, list) or len(row) != 3:
-            raise SpecFormatError(f"'{key}' rows must be [order, amp, phase]")
         if not float(row[0]).is_integer() or int(row[0]) < 1:
             raise SpecFormatError("harmonic orders must be positive integers")
 
 
 def validate_curve_spec(doc) -> None:
+    """Raise :class:`SpecFormatError` unless ``doc`` is a well-formed curve spec."""
     if not isinstance(doc, dict):
         raise SpecFormatError("curve spec must be a JSON object")
     geometry = doc.get("geometry")
@@ -88,17 +102,16 @@ def validate_curve_spec(doc) -> None:
     if rep not in REPRESENTATIONS[geometry]:
         raise SpecFormatError(f"unknown representation {rep!r} for {geometry}")
     n = doc.get("n_samples")
-    if n is not None and (not float(n).is_integer() or int(n) < 16):
+    if n is not None and not (_is_number(n) and float(n).is_integer() and n >= 16):
         raise SpecFormatError("'n_samples' must be an integer >= 16")
 
     if rep == "support_fourier":
         rows = doc.get("coeffs")
         if not isinstance(rows, list) or not rows:
             raise SpecFormatError("'coeffs' must be a non-empty list of [n, cos, sin]")
+        _require_rows(rows, 3, "'coeffs' [n, cos, sin]")
         seen = set()
         for row in rows:
-            if not isinstance(row, list) or len(row) != 3:
-                raise SpecFormatError("'coeffs' rows must be [n, cos, sin]")
             if not float(row[0]).is_integer() or int(row[0]) < 0:
                 raise SpecFormatError("harmonic degrees must be integers >= 0")
             if int(row[0]) in seen:
@@ -106,25 +119,15 @@ def validate_curve_spec(doc) -> None:
             seen.add(int(row[0]))
     elif rep == "samples":
         _require_points(doc, 2)
-    elif rep == "sphere_samples":
+    elif rep in ("sphere_samples", "hyperboloid_samples"):
         _require_points(doc, 3)
-    elif rep == "hyperboloid_samples":
-        _require_points(doc, 3)
-    elif rep == "perturbed_circle":
-        if not isinstance(doc.get("rho"), (int, float)) or doc["rho"] <= 0:
-            raise SpecFormatError("'rho' must be a positive number")
-        _require_harmonics(doc)
-    elif rep == "hyperbolic_circle":
-        if not isinstance(doc.get("rho"), (int, float)) or doc["rho"] <= 0:
-            raise SpecFormatError("'rho' must be a positive number")
+    elif rep in ("perturbed_circle", "hyperbolic_circle"):
+        _require_positive(doc, "rho")
         _require_harmonics(doc)
     elif rep == "rounded_semicircle":
-        if not isinstance(doc.get("r"), (int, float)) or doc["r"] <= 0:
-            raise SpecFormatError("'r' must be a positive number")
+        _require_positive(doc, "r")
         for key in ("corner_scale", "flat_deviation"):
-            v = doc.get(key)
-            if v is not None and (not isinstance(v, (int, float)) or v <= 0):
-                raise SpecFormatError(f"'{key}' must be a positive number")
+            _require_positive(doc, key, required=False)
 
 
 def build_curve(doc: dict, n_samples: int | None = None):
@@ -205,7 +208,7 @@ def write_curve_csv(path, curve) -> None:
     elif curve.geometry == SPHERICAL:
         try:
             tau = total_torsion(curve).tau
-        except FrenetBreakdownError:
+        except (FrenetBreakdownError, BadParametrizationError):
             tau = np.zeros(len(curve.points))
         rows = (
             (s, p[0], p[1], p[2], k, tv)
@@ -333,8 +336,11 @@ def write_plane_svg(path, fronts, size: int = 640) -> None:
     _svg(path, size, size, body)
 
 
-def write_sphere_svg(path, curves, size: int = 640) -> None:
-    """Orthographic projection from +z with the visible rim."""
+def write_disc_svg(path, curves, chart, size: int = 640) -> None:
+    """Curves drawn in a unit-disc chart, with the disc's rim.
+
+    ``chart(points)`` returns the disc coordinates (X, Y) of ambient points.
+    """
     half = size / 2
     r = half - 24
     body = [
@@ -343,25 +349,16 @@ def write_sphere_svg(path, curves, size: int = 640) -> None:
     ]
     palette = ["#1f77b4", "#d62728", "#2ca02c"]
     for idx, c in enumerate(curves):
-        pts = np.asarray(c.points)
-        xs = half + pts[:, 0] * r
-        ys = half - pts[:, 1] * r
-        body.append(_polyline(xs, ys, palette[idx % len(palette)]))
+        u, v = chart(np.asarray(c.points))
+        body.append(_polyline(half + u * r, half - v * r, palette[idx % len(palette)]))
     _svg(path, size, size, body)
+
+
+def write_sphere_svg(path, curves, size: int = 640) -> None:
+    """Orthographic projection from +z with the visible rim."""
+    write_disc_svg(path, curves, lambda p: (p[:, 0], p[:, 1]), size)
 
 
 def write_klein_svg(path, curves, size: int = 640) -> None:
     """Hyperboloid curves drawn in the projective (Klein) disc x_i/x_0."""
-    half = size / 2
-    r = half - 24
-    body = [
-        f'<circle cx="{half}" cy="{half}" r="{r:.2f}" fill="none" '
-        f'stroke="#bbbbbb" stroke-width="1"/>'
-    ]
-    palette = ["#1f77b4", "#d62728", "#2ca02c"]
-    for idx, c in enumerate(curves):
-        pts = np.asarray(c.points)
-        xs = half + pts[:, 1] / pts[:, 0] * r
-        ys = half - pts[:, 2] / pts[:, 0] * r
-        body.append(_polyline(xs, ys, palette[idx % len(palette)]))
-    _svg(path, size, size, body)
+    write_disc_svg(path, curves, lambda p: (p[:, 1] / p[:, 0], p[:, 2] / p[:, 0]), size)

@@ -29,15 +29,13 @@ from .curves import (
     SampledCurve,
     SpaceForm,
     _column_deriv,
-    arclength_resample,
-    closed_spline_through,
     count_mean_crossings,
     euclidean_dot,
     harmonic_radius,
     polar_circle,
     polar_curve,
-    polar_green_area,
     propagate_front,
+    resample_surface_loop,
     unit_speed_curvature,
 )
 # the shared K-indexed checks, under their sphere names
@@ -101,26 +99,9 @@ def spherical_diameter(points: np.ndarray, chunk: int = 512) -> float:
 # area oracles
 
 
-def _orthonormal_frame(pole: np.ndarray):
-    seed = np.array([1.0, 0.0, 0.0])
-    if abs(float(pole @ seed)) > 0.9:
-        seed = np.array([0.0, 1.0, 0.0])
-    e1 = seed - (seed @ pole) * pole
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(pole, e1)
-    return e1, e2
-
-
 def spherical_area_green(points: np.ndarray, pole: np.ndarray, spacing: float) -> float:
-    """Enclosed area by the polar Green identity A = loop(1 - cos r) dphi.
-
-    ``r`` and ``phi`` are polar coordinates about ``pole``, which must lie
-    inside the loop (winding one).  Spectrally accurate for smooth curves.
-    """
-    e1, e2 = _orthonormal_frame(pole)
-    r = np.arccos(np.clip(points @ pole, -1.0, 1.0))
-    phi = np.arctan2(points @ e2, points @ e1)
-    return polar_green_area(1.0 - np.cos(r), phi, spacing)
+    """Enclosed area by the polar Green identity A = loop(1 - cos r) dphi about ``pole``."""
+    return SPHERE.green_area(points, pole, spacing)
 
 
 def spherical_area_fan(points: np.ndarray, apex: np.ndarray) -> float:
@@ -165,6 +146,10 @@ SPHERE = SPACE_FORMS[SPHERICAL] = SpaceForm(
 
 # ---------------------------------------------------------------------------
 # construction
+
+
+def _unit(points: np.ndarray) -> np.ndarray:
+    return points / np.linalg.norm(points, axis=1)[:, None]
 
 
 def _finish_sphere_curve(points, s, length, area_pole=None, curv_fn=None) -> SphereCurve:
@@ -267,15 +252,9 @@ def tennis_seam(beta: float = 0.25, n_samples: int = 2048) -> SphereCurve:
 def sphere_curve_from_points(points, n_samples: int = 1024) -> SphereCurve:
     """Resample-and-validate path for raw point loops on the sphere."""
     raw = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(raw, axis=1)
-    if float(np.max(np.abs(norms - 1.0))) > 1e-6:
+    if float(np.max(np.abs(np.linalg.norm(raw, axis=1) - 1.0))) > 1e-6:
         raise BadParametrizationError("input points must lie on the unit sphere")
-    resampled = raw / norms[:, None]
-    for _ in range(2):  # polish: normalization perturbs the speed slightly
-        point_fn, speed_fn = closed_spline_through(resampled, SPHERE)
-        pts, s, length, _ = arclength_resample(point_fn, int(n_samples), speed_fn)
-        resampled = pts / np.linalg.norm(pts, axis=1)[:, None]
-    return _finish_sphere_curve(resampled, s, length)
+    return _finish_sphere_curve(*resample_surface_loop(raw, n_samples, SPHERE, _unit))
 
 
 # ---------------------------------------------------------------------------

@@ -66,14 +66,42 @@ class SupportOval:
         return out
 
 
-def _frame(alpha: np.ndarray):
+def _support_curve(h: np.ndarray, hp: np.ndarray, hpp: np.ndarray, radius_fn) -> SampledCurve:
+    """The oval of support samples h, h', h'' on the grid alpha_j = 2 pi j / n.
+
+    Raises :class:`NonConvexError` unless R = h + h'' > 0 on the grid.
+    """
+    n = len(h)
+    spacing = TWO_PI / n
+    alpha = np.arange(n) * spacing
+    radius = h + hpp
+    rmin = float(radius.min())
+    if rmin <= 0.0:
+        raise NonConvexError(f"min(h + h'') = {rmin:.6g} <= 0")
     normal = np.column_stack([np.cos(alpha), np.sin(alpha)])
     tangent = np.column_stack([-np.sin(alpha), np.cos(alpha)])
-    return normal, tangent
+    return SampledCurve(
+        geometry=EUCLIDEAN,
+        points=h[:, None] * normal + hp[:, None] * tangent,
+        s=fourier_antiderivative(radius),
+        k=1.0 / radius,
+        L=float(radius.mean()) * TWO_PI,
+        A=0.5 * spacing * float(np.sum(h * radius)),
+        param=alpha,
+        tangent=tangent,
+        normal=normal,
+        w=radius * spacing,
+        curv_fn=lambda x: 1.0 / np.asarray(radius_fn(x), float),
+        radius_fn=radius_fn,
+    )
 
 
 def build_oval(spec: SupportOval) -> SampledCurve:
     """Sample the oval described by a support-function trig polynomial.
+
+    h, h' and h'' are synthesized on the grid from the coefficients by one
+    inverse real FFT each; ``radius_fn`` evaluates R = h + h'' anywhere for
+    root refinement.
 
     Raises
     ------
@@ -91,50 +119,19 @@ def build_oval(spec: SupportOval) -> SampledCurve:
         )
     a = spec.cos_amps
     b = spec.sin_amps
-    alpha = np.arange(n) * (TWO_PI / n)
-    h = kernels.trig_eval(a, b, alpha, 0)
-    hp = kernels.trig_eval(a, b, alpha, 1)
-    hpp = kernels.trig_eval(a, b, alpha, 2)
-    radius = h + hpp
-    rmin = float(radius.min())
-    if rmin <= 0.0:
-        raise NonConvexError(f"min(h + h'') = {rmin:.6g} <= 0")
-
-    normal, tangent = _frame(alpha)
-    points = h[:, None] * normal + hp[:, None] * tangent
-
-    # Arc length from the exact antiderivative of the trig polynomial R:
-    # R has coefficients (1 - m^2) (a_m, b_m), so s(a) integrates in closed
-    # form and L = 2 pi a_0.
-    harmonics = np.arange(len(a), dtype=float)
-    rc = (1.0 - harmonics**2) * a
-    rs = (1.0 - harmonics**2) * b
-    rc[0] = a[0]
-    s = rc[0] * alpha
-    if len(a) > 1:
-        m = harmonics[1:]
-        ang = np.multiply.outer(alpha, m)
-        s = s + np.sin(ang) @ (rc[1:] / m) + (1.0 - np.cos(ang)) @ (rs[1:] / m)
-    length = TWO_PI * rc[0]
-    area = 0.5 * (TWO_PI / n) * float(np.sum(h * radius))
+    # rfft convention: harmonic m of a cos + b sin is (n/2)(a - i b), the mean n a_0
+    coeff = np.zeros(n // 2 + 1, dtype=complex)
+    coeff[: len(a)] = 0.5 * n * (a - 1j * b)
+    coeff[0] = n * a[0]
+    m = np.arange(n // 2 + 1)
+    h = np.fft.irfft(coeff, n)
+    hp = np.fft.irfft(1j * m * coeff, n)
+    hpp = np.fft.irfft(-(m**2) * coeff, n)
 
     def radius_fn(x):
         return kernels.trig_eval(a, b, x, 0) + kernels.trig_eval(a, b, x, 2)
 
-    return SampledCurve(
-        geometry=EUCLIDEAN,
-        points=points,
-        s=s,
-        k=1.0 / radius,
-        L=length,
-        A=area,
-        param=alpha,
-        tangent=tangent,
-        normal=normal,
-        w=radius * (TWO_PI / n),
-        curv_fn=lambda x: 1.0 / radius_fn(x),
-        radius_fn=radius_fn,
-    )
+    return _support_curve(h, hp, hpp, radius_fn)
 
 
 def oval_from_support(
@@ -156,37 +153,14 @@ def oval_from_support(
     hv = np.asarray(h(alpha), dtype=float)
     hp = np.asarray(dh(alpha), float) if dh else kernels.periodic_deriv(hv, 1, spacing)
     hpp = np.asarray(d2h(alpha), float) if d2h else kernels.periodic_deriv(hv, 2, spacing)
-    radius = hv + hpp
-    rmin = float(radius.min())
-    if rmin <= 0.0:
-        raise NonConvexError(f"min(h + h'') = {rmin:.6g} <= 0")
-
-    normal, tangent = _frame(alpha)
-    points = hv[:, None] * normal + hp[:, None] * tangent
-    s = fourier_antiderivative(radius)
-    length = float(radius.mean()) * TWO_PI
-    area = 0.5 * spacing * float(np.sum(hv * radius))
 
     if dh is not None and d2h is not None:
         def radius_fn(x):
             return np.asarray(h(x), float) + np.asarray(d2h(x), float)
     else:
-        radius_fn = periodic_interpolant(alpha, radius, TWO_PI)
+        radius_fn = periodic_interpolant(alpha, hv + hpp, TWO_PI)
 
-    return SampledCurve(
-        geometry=EUCLIDEAN,
-        points=points,
-        s=s,
-        k=1.0 / radius,
-        L=length,
-        A=area,
-        param=alpha,
-        tangent=tangent,
-        normal=normal,
-        w=radius * spacing,
-        curv_fn=lambda x: 1.0 / np.asarray(radius_fn(x), float),
-        radius_fn=radius_fn,
-    )
+    return _support_curve(hv, hp, hpp, radius_fn)
 
 
 def ellipse_oval(a: float, b: float, n_samples: int = 1024, analytic: bool = True):

@@ -26,6 +26,7 @@ from .curves import (
     eval_scalar,
     fft_deriv,
     propagate_front,
+    steiner_closed_form,
 )
 from .errors import AtCuspError, DegenerateProfileError, NotContainedError
 
@@ -84,8 +85,7 @@ def steiner_check(curve: SampledCurve, t_values: Sequence[float], tol: float = 1
         f = propagate(curve, t)
         lm[i] = f.signed_length
         am[i] = f.area
-    lp = curve.L + TWO_PI * ts
-    ap = curve.A + curve.L * ts + np.pi * ts**2
+    lp, ap = steiner_closed_form(curve, ts)
     rel_l = np.abs(lm - lp) / np.maximum(np.abs(lp), 1e-12)
     rel_a = np.abs(am - ap) / np.maximum(np.abs(ap), 1e-12)
     if ts.size >= 3:

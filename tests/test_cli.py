@@ -89,12 +89,29 @@ def test_parse_t_spec_forms():
         ["analyze", "--input", "SPEC", "--tol", "-1"],
         ["analyze", "--input", "SPEC", "--format", "csv,pdf"],
         ["propagate", "--input", "SPEC", "--t", "abc"],
+        ["propagate", "--input", "SPEC", "--t=nan"],
+        ["propagate", "--input", "SPEC", "--t=inf"],
+        ["propagate", "--input", "SPEC", "--t=0:inf:0.5"],
+        ["counterexample", "--r", "inf", "--out", "OUT"],
+        ["analyze", "--input", "SPEC", "--seed", "1"],  # no such flag
     ],
 )
 def test_input_errors_exit_2(tmp_path, argv):
     spec = write_spec(tmp_path, WAVY_OVAL)
-    argv = [spec if a in ("SPEC", "IGNORED") else a for a in argv]
+    subs = {"SPEC": spec, "IGNORED": spec, "OUT": str(tmp_path)}
+    argv = [subs.get(a, a) for a in argv]
     assert main(argv) == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_samples", "abc"), ("coeffs", [[0, 1.0, 0.0], [2, "abc", 0.0]]),
+     ("coeffs", [[0, 1.0, 0.0], ["x", 0.1, 0.0]])],
+)
+def test_malformed_spec_exits_2(tmp_path, capsys, field, value):
+    spec = write_spec(tmp_path, {**WAVY_OVAL, field: value})
+    assert main(["analyze", "--input", spec, "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_invalid_json_exits_2(tmp_path):
@@ -313,16 +330,36 @@ def test_counterexample_shooting_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "counterexample_report.json").exists()
 
 
+def test_counterexample_huge_radius_exits_3(tmp_path, capsys):
+    # the shooting overflows at this radius; the closure gate must say so
+    code = main(["counterexample", "--r", "100", "--out", str(tmp_path),
+                 "--samples", "512", "--format", "json"])
+    assert code == EXIT_NUMERICAL_FAILURE
+    err = capsys.readouterr().err
+    assert "error: numerical failure: corner shooting failed to close" in err
+
+
 # ---------------------------------------------------------------------------
 # export and golden artifacts
 
 
-def test_export_matches_golden(tmp_path):
-    code = main(["export", "--input", str(GOLDEN / "oval_spec.json"),
-                 "--out", str(tmp_path), "--format", "csv,json,svg"])
+@pytest.mark.parametrize(
+    "spec, extra, stem",
+    [
+        ("oval", [], "export_curve"),
+        # the disc SVGs, the curved CSV columns and the polar Green area
+        ("sphere", ["--samples", "256"], "export_sphere"),
+        ("hyperbolic", ["--samples", "256"], "export_hyperbolic"),
+    ],
+    ids=["oval", "sphere", "hyperbolic"],
+)
+def test_export_matches_golden(tmp_path, spec, extra, stem):
+    code = main(["export", "--input", str(GOLDEN / f"{spec}_spec.json"),
+                 "--out", str(tmp_path), "--format", "csv,json,svg", *extra])
     assert code == EXIT_PASS
-    for name in ("export_curve.csv", "export_curve.json", "export_curve.svg"):
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    for ext in ("csv", "json", "svg"):
+        written = (tmp_path / f"export_curve.{ext}").read_bytes()
+        assert written == (GOLDEN / f"{stem}.{ext}").read_bytes(), ext
 
 
 @pytest.mark.parametrize("geometry", ["sphere", "hyperbolic"])
@@ -335,6 +372,24 @@ def test_propagate_matches_golden(tmp_path, geometry):
     assert (tmp_path / "propagate_report.json").read_bytes() == (
         GOLDEN / f"propagate_{geometry}.json"
     ).read_bytes()
+
+
+def test_coarse_sphere_grid_skips_torsion(tmp_path):
+    # at 64 samples the curve passes the builder's speed gate but not the
+    # stencil-only gate of the torsion, which is skipped rather than fatal
+    spec = str(GOLDEN / "sphere_spec.json")
+    code = main(["analyze", "--input", spec, "--out", str(tmp_path),
+                 "--samples", "64", "--format", "csv"])
+    assert code == EXIT_PASS
+    table = np.loadtxt(tmp_path / "analyze_curve.csv", delimiter=",", skiprows=1)
+    assert table.shape == (64, 6) and not table[:, 5].any()
+
+    code = main(["verify", "--input", spec, "--out", str(tmp_path), "--samples", "64"])
+    report = read_report(tmp_path, "verify_report.json")
+    assert code == (EXIT_PASS if report["passed"] else EXIT_THEOREM_FAIL)
+    torsion = {c["name"]: c for c in report["checks"]}["total_torsion"]
+    assert torsion["passed"] is None
+    assert torsion["note"] == "torsion needs unit-speed samples"
 
 
 def test_export_sphere_svg_branch(tmp_path):

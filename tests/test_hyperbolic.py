@@ -250,6 +250,13 @@ def test_semicircle_closes_on_the_hyperboloid(r):
     assert np.max(np.abs(mdot(x, tvec))) <= 1e-10
 
 
+def test_semicircle_builds_without_numpy2_api(monkeypatch):
+    # numpy >= 1.24 is supported; np.trapezoid only exists from numpy 2.0
+    monkeypatch.delattr(np, "trapezoid", raising=False)
+    curve = build_rounded_semicircle(RoundedSemicircleSpec(r=2.0, n_samples=256))
+    assert curve.gb_residual < 1e-9
+
+
 def test_semicircle_near_sharp_reference(semicircle_r2):
     sharp_len, sharp_area, sharp_mean = semicircle_reference(2.0)
     assert sharp_mean == pytest.approx(SHARP_R2_MEAN, abs=1e-12)

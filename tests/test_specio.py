@@ -81,6 +81,27 @@ def test_load_rejects_missing_file(tmp_path):
         {"geometry": "hyperbolic", "representation": "rounded_semicircle", "r": 0},
         {"geometry": "hyperbolic", "representation": "rounded_semicircle", "r": 2.0,
          "corner_scale": -0.1},
+        # non-numeric and non-finite fields
+        spec_doc(n_samples="abc"),
+        spec_doc(coeffs=[["x", 1.0, 0.0]]),
+        spec_doc(coeffs=[[0, "abc", 0.0]]),
+        spec_doc(coeffs=[[0, 1.0, float("inf")]]),
+        {"geometry": "spherical", "representation": "perturbed_circle",
+         "rho": float("nan")},
+        {"geometry": "hyperbolic", "representation": "hyperbolic_circle",
+         "rho": float("inf")},
+        {"geometry": "spherical", "representation": "perturbed_circle", "rho": 0.7,
+         "harmonics": [["x", 0.1, 0.0]]},
+        {"geometry": "hyperbolic", "representation": "hyperbolic_circle", "rho": 0.7,
+         "harmonics": [[2, "abc", 0.0]]},
+        {"geometry": "spherical", "representation": "perturbed_circle", "rho": 0.7,
+         "harmonics": [[2, 0.1, float("nan")]]},
+        {"geometry": "spherical", "representation": "sphere_samples",
+         "points": [[0.0, 0.0, float("nan")]] * 8},
+        {"geometry": "hyperbolic", "representation": "rounded_semicircle",
+         "r": float("nan")},
+        {"geometry": "hyperbolic", "representation": "rounded_semicircle", "r": 2.0,
+         "corner_scale": float("inf")},
     ],
 )
 def test_validate_rejects(doc):
