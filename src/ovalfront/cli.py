@@ -89,8 +89,8 @@ class RunConfig:
             n = self.n_samples
             if n < 64 or (n & (n - 1)) != 0:
                 raise InvalidSpecError("--samples must be >= 64 and a power of two")
-        if not self.tol > 0.0:
-            raise InvalidSpecError("--tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise InvalidSpecError("--tol must be a finite positive number")
         bad = set(self.formats) - set(FORMATS)
         if bad:
             raise InvalidSpecError(f"unknown formats: {sorted(bad)}")

@@ -268,9 +268,9 @@ class CrossingReport:
 
 
 def periodic_interpolant(param: np.ndarray, values: np.ndarray, period: float):
-    """Periodic cubic spline through one period of samples."""
+    """Periodic cubic spline through one period of samples, (n,) or (n, d)."""
     p = np.append(param, param[0] + period)
-    v = np.append(values, values[0])
+    v = np.concatenate([values, values[:1]])
     spline = CubicSpline(p, v, bc_type="periodic")
     lo = param[0]
 

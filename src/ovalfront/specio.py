@@ -5,6 +5,8 @@ A curve spec is a small JSON document with ``geometry``,
 turns one into a sampled curve.  Exports (CSV, SVG, JSON reports) are
 deterministic: fixed column orders, fixed float formatting, sorted JSON
 keys, and no timestamps, so identical inputs give byte-identical files.
+Every CSV goes through one table writer, `_write_table`, which prints
+each value as ``%.12g``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .hyperbolic import (
     perturbed_hyperbolic_circle,
 )
 from .sphere import perturbed_sphere_circle, sphere_curve_from_points, total_torsion
-from .support import SupportOval, build_oval, euclidean_curve_from_points
+from .support import SupportOval, build_oval, check_oval_sampling, euclidean_curve_from_points
 from .errors import BadParametrizationError, FrenetBreakdownError
 
 SCHEMA_VERSION = 1
@@ -137,8 +139,9 @@ def build_curve(doc: dict, n_samples: int | None = None):
     n = int(n_samples or doc.get("n_samples") or _DEFAULT_SAMPLES)
 
     if rep == "support_fourier":
-        degrees = [int(row[0]) for row in doc["coeffs"]]
-        dense = [(0.0, 0.0)] * (max(degrees) + 1)
+        degree = max(int(row[0]) for row in doc["coeffs"])
+        check_oval_sampling(n, degree)  # before the dense list is allocated
+        dense = [(0.0, 0.0)] * (degree + 1)
         for deg, c, s in doc["coeffs"]:
             dense[int(deg)] = (float(c), float(s))
         return build_oval(SupportOval(coeffs=tuple(dense), n_samples=n))
@@ -169,79 +172,53 @@ def build_curve(doc: dict, n_samples: int | None = None):
 # CSV
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+def _write_table(path, header: str, *columns) -> None:
+    """Write the columns (1-D arrays or 2-D blocks) as CSV, ``%.12g`` per value.
 
-
-def _write_rows(path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    The whole table is formatted by one ``%`` operation; Python prints
+    nan, inf and -0 the same way as ``f"{x:.12g}"``.
+    """
+    table = np.column_stack(columns).astype(float, copy=False)
+    rows, width = table.shape
+    line = ",".join(["%.12g"] * width) + "\n"
+    Path(path).write_text(header + "\n" + (line * rows) % tuple(table.ravel().tolist()))
 
 
 def write_profile_csv(path, profile) -> None:
     """Columns: param,k,mean,deviation."""
-    rows = (
-        (p, v, profile.mean, v - profile.mean)
-        for p, v in zip(profile.param, profile.values)
-    )
-    _write_rows(path, "param,k,mean,deviation", rows)
+    k = profile.values
+    _write_table(path, "param,k,mean,deviation", profile.param, k,
+                 np.full(len(k), profile.mean), k - profile.mean)
 
 
 def write_spectrum_csv(path, spectrum) -> None:
     """Columns: n,cos_amp,sin_amp,magnitude."""
-    amps = spectrum.amplitudes
-    rows = (
-        (n, c, s, amps[n])
-        for n, (c, s) in enumerate(zip(spectrum.cos_amps, spectrum.sin_amps))
-    )
-    _write_rows(path, "n,cos_amp,sin_amp,magnitude", rows)
+    n = np.arange(len(spectrum.cos_amps))
+    _write_table(path, "n,cos_amp,sin_amp,magnitude", n, spectrum.cos_amps,
+                 spectrum.sin_amps, spectrum.amplitudes)
 
 
 def write_curve_csv(path, curve) -> None:
     """Geometry-specific sample table for a curve."""
     if curve.geometry == EUCLIDEAN:
-        rows = (
-            (s, p[0], p[1], k) for s, p, k in zip(curve.s, curve.points, curve.k)
-        )
-        _write_rows(path, "s,x,y,k", rows)
+        _write_table(path, "s,x,y,k", curve.s, curve.points, curve.k)
     elif curve.geometry == SPHERICAL:
         try:
             tau = total_torsion(curve).tau
         except (FrenetBreakdownError, BadParametrizationError):
             tau = np.zeros(len(curve.points))
-        rows = (
-            (s, p[0], p[1], p[2], k, tv)
-            for s, p, k, tv in zip(curve.s, curve.points, curve.k, tau)
-        )
-        _write_rows(path, "s,x,y,z,k_g,tau", rows)
+        _write_table(path, "s,x,y,z,k_g,tau", curve.s, curve.points, curve.k, tau)
     else:
-        rows = (
-            (s, p[0], p[1], p[2], k)
-            for s, p, k in zip(curve.s, curve.points, curve.k)
-        )
-        _write_rows(path, "s,x0,x1,x2,k", rows)
+        _write_table(path, "s,x0,x1,x2,k", curve.s, curve.points, curve.k)
 
 
 def write_front_csv(path, front) -> None:
     """Front samples with per-sample regularity signs."""
     if front.points.shape[1] == 2:
-        rows = (
-            (s, p[0], p[1], r)
-            for s, p, r in zip(front.s, front.points, front.regularity)
-        )
-        _write_rows(path, "s,x,y,regularity", rows)
+        cols = "s,x,y"
     else:
-        cols = (
-            "s,x,y,z,regularity"
-            if front.geometry == SPHERICAL
-            else "s,x0,x1,x2,regularity"
-        )
-        rows = (
-            (s, p[0], p[1], p[2], r)
-            for s, p, r in zip(front.s, front.points, front.regularity)
-        )
-        _write_rows(path, cols, rows)
+        cols = "s,x,y,z" if front.geometry == SPHERICAL else "s,x0,x1,x2"
+    _write_table(path, cols + ",regularity", front.s, front.points, front.regularity)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +284,11 @@ def _fit(points: np.ndarray, size: int, pad: float):
 
 
 def _polyline(xs, ys, color: str, width: float = 1.5) -> str:
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    closed = np.column_stack([np.append(xs, xs[0]), np.append(ys, ys[0])])
+    pts = ("%.2f,%.2f " * len(closed)) % tuple(closed.ravel().tolist())
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
-        f'points="{pts} {xs[0]:.2f},{ys[0]:.2f}"/>'
+        f'points="{pts[:-1]}"/>'
     )
 
 
@@ -325,14 +303,12 @@ def write_plane_svg(path, fronts, size: int = 640) -> None:
         body.append(_polyline(xs, ys, palette[idx % len(palette)]))
         cusps = getattr(f, "cusps", None)
         if cusps is not None and len(cusps):
-            fx = periodic_interpolant(f.param, f.points[:, 0], float(f.period))
-            fy = periodic_interpolant(f.param, f.points[:, 1], float(f.period))
-            for c in cusps:
-                px, py = to_px(np.array([[float(fx(c)), float(fy(c))]]))
-                body.append(
-                    f'<circle cx="{px[0]:.2f}" cy="{py[0]:.2f}" r="3.5" '
-                    f'fill="#000000"/>'
-                )
+            at = periodic_interpolant(f.param, f.points, float(f.period))
+            px, py = to_px(at(np.asarray(cusps, dtype=float)))
+            body.extend(
+                '<circle cx="%.2f" cy="%.2f" r="3.5" fill="#000000"/>' % c
+                for c in zip(px.tolist(), py.tolist())
+            )
     _svg(path, size, size, body)
 
 

@@ -96,6 +96,14 @@ def _support_curve(h: np.ndarray, hp: np.ndarray, hpp: np.ndarray, radius_fn) ->
     )
 
 
+def check_oval_sampling(n: int, n_max: int) -> None:
+    """Refuse grids of n samples too coarse for harmonics up to degree n_max."""
+    if n < MIN_SAMPLES:
+        raise DegenerateSamplingError(f"n_samples={n} < {MIN_SAMPLES}")
+    if n < 4 * max(n_max, 1):
+        raise DegenerateSamplingError(f"n_samples={n} cannot resolve harmonic {n_max}")
+
+
 def build_oval(spec: SupportOval) -> SampledCurve:
     """Sample the oval described by a support-function trig polynomial.
 
@@ -111,12 +119,7 @@ def build_oval(spec: SupportOval) -> SampledCurve:
         R = h + h'' fails to be strictly positive on the grid.
     """
     n = int(spec.n_samples)
-    if n < MIN_SAMPLES:
-        raise DegenerateSamplingError(f"n_samples={n} < {MIN_SAMPLES}")
-    if n < 4 * max(spec.n_max, 1):
-        raise DegenerateSamplingError(
-            f"n_samples={n} cannot resolve harmonic {spec.n_max}"
-        )
+    check_oval_sampling(n, spec.n_max)
     a = spec.cos_amps
     b = spec.sin_amps
     # rfft convention: harmonic m of a cos + b sin is (n/2)(a - i b), the mean n a_0

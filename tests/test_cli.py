@@ -94,6 +94,8 @@ def test_parse_t_spec_forms():
         ["propagate", "--input", "SPEC", "--t=0:inf:0.5"],
         ["counterexample", "--r", "inf", "--out", "OUT"],
         ["analyze", "--input", "SPEC", "--seed", "1"],  # no such flag
+        ["verify", "--input", "SPEC", "--tol", "inf"],  # every check would pass
+        ["verify", "--input", "SPEC", "--tol", "nan"],
     ],
 )
 def test_input_errors_exit_2(tmp_path, argv):
@@ -371,6 +373,28 @@ def test_propagate_matches_golden(tmp_path, geometry):
     assert code == EXIT_PASS
     assert (tmp_path / "propagate_report.json").read_bytes() == (
         GOLDEN / f"propagate_{geometry}.json"
+    ).read_bytes()
+
+
+def test_plane_propagate_matches_golden(tmp_path):
+    # front CSVs with their regularity column, and the SVG cusp markers
+    code = main(["propagate", "--input", str(GOLDEN / "oval_spec.json"),
+                 "--out", str(tmp_path), "--t=-1.2:0.4:0.8", "--format", "csv,svg"])
+    assert code == EXIT_PASS
+    svg = (tmp_path / "propagate_fronts.svg").read_bytes()
+    assert svg.count(b"<circle") == 8
+    assert svg == (GOLDEN / "propagate_fronts.svg").read_bytes()
+    for i in range(3):
+        written = (tmp_path / f"front_{i:03d}.csv").read_bytes()
+        assert written == (GOLDEN / f"propagate_front_{i:03d}.csv").read_bytes(), i
+
+
+def test_counterexample_curve_matches_golden(tmp_path):
+    code = main(["counterexample", "--r", "2", "--samples", "256",
+                 "--out", str(tmp_path), "--format", "csv"])
+    assert code == EXIT_PASS
+    assert (tmp_path / "counterexample_curve.csv").read_bytes() == (
+        GOLDEN / "counterexample_curve.csv"
     ).read_bytes()
 
 

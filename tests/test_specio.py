@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovalfront import (
     EUCLIDEAN,
     HYPERBOLIC,
     SPHERICAL,
+    DegenerateSamplingError,
     SpecFormatError,
     build_curve,
     curvature_profile,
@@ -175,6 +178,13 @@ def test_build_rounded_semicircle():
     assert not curve.horocyclic_convex
 
 
+def test_huge_degree_is_refused_before_allocation():
+    # a dense coefficient list of 10**12 + 1 entries would raise MemoryError
+    doc = spec_doc(coeffs=[[0, 1.0, 0.0], [10**12, 0.01, 0.0]])
+    with pytest.raises(DegenerateSamplingError, match="cannot resolve harmonic 1000000000000"):
+        build_curve(doc, n_samples=256)
+
+
 def test_build_n_samples_precedence():
     doc = spec_doc(n_samples=128)
     assert build_curve(doc).n_samples == 128
@@ -233,6 +243,39 @@ def test_csv_is_deterministic(tmp_path, oval):
     specio.write_curve_csv(a, oval)
     specio.write_curve_csv(b, oval)
     assert a.read_bytes() == b.read_bytes()
+
+
+def per_value_csv(header, columns) -> str:
+    """The CSV text of one `f"{float(v):.12g}"` per value, the reference format."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    lines = [header, *(",".join(f"{float(v):.12g}" for v in row) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+               1e308, -1e308, 1e300, 1.7976931348623157e308, 1 / 3, -123456789.123456789,
+               1e-5, 1e16, 0.1 + 0.2, 2.0**53 + 2.0]
+
+
+def test_table_writer_matches_per_value_format(tmp_path):
+    x = np.array(EDGE_VALUES)
+    regularity = np.resize(np.array([-1, 0, 1], dtype=np.int8), len(x))
+    columns = (x, -x[::-1], np.sqrt(np.abs(x)), regularity)
+    path = tmp_path / "table.csv"
+    specio._write_table(path, "a,b,c,regularity", *columns)
+    assert path.read_text() == per_value_csv("a,b,c,regularity", columns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda w: st.lists(st.lists(st.floats(), min_size=w, max_size=w), max_size=12)
+    .map(lambda rows: np.array(rows, dtype=float).reshape(-1, w))
+))
+def test_table_writer_matches_per_value_format_on_any_floats(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    header = ",".join("c%d" % j for j in range(table.shape[1]))
+    specio._write_table(path, header, *table.T)
+    assert path.read_text() == per_value_csv(header, table.T)
 
 
 def test_jsonable_conversions():
