@@ -217,14 +217,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     try:
         profile = curvature_profile(curve)
-        degenerate = False
-        count = len(profile.crossing_params)
-        crossings = profile.crossing_params
     except DegenerateProfileError:
         profile = None
-        degenerate = True
-        count = None
-        crossings = np.empty(0)
+    crossings = np.empty(0) if profile is None else profile.crossing_params
 
     report = {
         "command": "analyze",
@@ -234,8 +229,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "mean_curvature": average_curvature(curve),
         "min_curvature": float(np.min(curve.k)),
         "max_curvature": float(np.max(curve.k)),
-        "degenerate_profile": degenerate,
-        "attainment_count": count,
+        "degenerate_profile": profile is None,
+        "attainment_count": None if profile is None else len(crossings),
         "attainment_params": crossings,
     }
     if curve.geometry == HYPERBOLIC:
@@ -319,22 +314,31 @@ def _add_front_checks(suite: _Suite, curve, tol: float, t_values, semigroup_time
 
     The plane lemma uses its closed form; the curved geometries measure it
     on the fronts and also check the semigroup law at ``semigroup_times``.
+    A check that would compare nothing is skipped with a note.
     """
-    defects = [defect_value(curve.geometry, f.signed_length, f.area)
-               for f in (_front_for(curve, t) for t in t_values)]
-    _add_defect_check(suite, curve, defects, tol)
+    if len(set(t_values)) < 2:
+        suite.add("defect_invariance", None, note="needs two distinct t values")
+    else:
+        defects = [defect_value(curve.geometry, f.signed_length, f.area)
+                   for f in (_front_for(curve, t) for t in t_values)]
+        _add_defect_check(suite, curve, defects, tol)
 
     lemma_check = _by_K(curve, propagation_lemma_check, mean_attainment_front_check,
                         mean_attainment_front_check_h)
     try:
         lemma = lemma_check(curve, t_values)
-        suite.add(
-            "front_mean_curvature_lemma",
-            bool(lemma.max_deviation < tol),
-            max_deviation=lemma.max_deviation,
-        )
     except DegenerateProfileError:
         suite.add("front_mean_curvature_lemma", None, note="circle")
+    else:
+        if lemma.max_deviation is None:
+            suite.add("front_mean_curvature_lemma", None,
+                      note="every t skipped or no attainment point")
+        else:
+            suite.add(
+                "front_mean_curvature_lemma",
+                bool(lemma.max_deviation < tol),
+                max_deviation=lemma.max_deviation,
+            )
 
     if semigroup_times is not None:
         a, b = semigroup_times
@@ -384,15 +388,10 @@ def _verify_euclidean(curve, tol: float, t_values) -> _Suite:
         suite.add("closure_residual", None, note="not a support-built oval")
 
     try:
-        profile = curvature_profile(curve)
-        suite.add(
-            "four_point",
-            bool(len(profile.crossing_params) >= 4),
-            attainment_count=len(profile.crossing_params),
-        )
+        count = len(curvature_profile(curve).crossing_params)
+        suite.add("four_point", bool(count >= 4), attainment_count=count)
     except DegenerateProfileError:
         suite.add("four_point", None, note="circle: constant curvature")
-        profile = None
 
     radius = 1.0 / np.asarray(curve.k)
     dev = radius - float(np.mean(radius))
@@ -501,12 +500,11 @@ def _verify_hyperbolic(curve, tol: float, t_values) -> _Suite:
 
     if not hc:
         try:
-            profile = curvature_profile(curve)
             suite.add(
                 "mean_attainment",
                 None,
                 note="not horocyclically convex: four-point guarantee void",
-                attainment_count=len(profile.crossing_params),
+                attainment_count=len(curvature_profile(curve).crossing_params),
             )
         except DegenerateProfileError:
             suite.add("mean_attainment", None, note="constant curvature")

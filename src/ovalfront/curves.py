@@ -18,6 +18,7 @@ mean?) lives here for the same reason.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -74,6 +75,9 @@ class SampledCurve:
         it; used for root refinement.
     radius_fn : callable, optional
         Curvature radius ``R(param)`` (Euclidean support builds only).
+
+    :attr:`profile` is computed on first read and kept, so the arrays must
+    not be mutated once the curve is built.
     """
 
     geometry: str
@@ -110,6 +114,22 @@ class SampledCurve:
         if p is None:
             return self.L
         return float(p[-1] + (p[1] - p[0])) if len(p) > 1 else self.L
+
+    @cached_property
+    def profile(self) -> "CurvatureProfile":
+        """Curvature profile with its mean crossings (the attainment set).
+
+        A constant curvature raises :class:`DegenerateProfileError` on every
+        read, before any root refinement.
+        """
+        profile = CurvatureProfile(
+            values=np.asarray(self.k, dtype=float),
+            mean=average_curvature(self),
+            param=np.asarray(_param(self), dtype=float),
+            period=self.period,
+            fn=self.curv_fn,
+        )
+        return replace(profile, crossing_params=count_mean_crossings(profile).crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -285,29 +305,19 @@ def eval_scalar(fn, x) -> float:
     return float(np.asarray(fn(x)).item())
 
 
-def curvature_profile(curve: SampledCurve, tol: float = None) -> CurvatureProfile:
-    """Curvature profile of a curve, with mean crossings already located."""
-    param = curve.param if curve.param is not None else curve.s
-    profile = CurvatureProfile(
-        values=np.asarray(curve.k, dtype=float),
-        mean=average_curvature(curve),
-        param=np.asarray(param, dtype=float),
-        period=curve.period,
-        fn=curve.curv_fn,
-    )
-    report = count_mean_crossings(profile, tol=tol)
-    return replace(profile, crossing_params=report.crossings)
+def curvature_profile(curve: SampledCurve) -> CurvatureProfile:
+    """The curve's :attr:`SampledCurve.profile`, computed once per curve."""
+    return curve.profile
 
 
 def radius_profile(curve: SampledCurve) -> CurvatureProfile:
     """Curvature-radius profile R = 1/k of a Euclidean oval, mean L/2pi."""
     if curve.geometry != EUCLIDEAN:
         raise ValueError("radius profiles are a Euclidean notion here")
-    param = curve.param if curve.param is not None else curve.s
     return CurvatureProfile(
         values=1.0 / np.asarray(curve.k, dtype=float),
         mean=curve.L / TWO_PI,
-        param=np.asarray(param, dtype=float),
+        param=np.asarray(_param(curve), dtype=float),
         period=curve.period,
         fn=curve.radius_fn,
     )
@@ -574,19 +584,23 @@ def propagate_front(curve, t: float) -> Front:
 
 @dataclass(frozen=True, eq=False)
 class LemmaReport:
-    """Deviation of the front curvature at the attainment parameters from the mean."""
+    """Deviation of the front curvature at the attainment parameters from the mean.
+
+    ``max_deviation`` is ``None`` when nothing was compared: every time was
+    skipped, or the curve has no attainment parameter.
+    """
 
     t_values: np.ndarray
-    max_deviation: float
+    max_deviation: Optional[float]
     deviations: np.ndarray
     skipped: np.ndarray
 
     @classmethod
-    def from_deviations(cls, t_values, deviations, skipped) -> "LemmaReport":
+    def from_deviations(cls, t_values, deviations, skipped, stars) -> "LemmaReport":
         valid = deviations[~skipped]
         return cls(
             t_values=t_values,
-            max_deviation=float(valid.max()) if valid.size else 0.0,
+            max_deviation=float(valid.max()) if valid.size and len(stars) else None,
             deviations=deviations,
             skipped=skipped,
         )
@@ -616,8 +630,8 @@ def mean_attainment_front_check(
         kfn = periodic_interpolant(front.s, front.k, front.period)
         kbar_t = (TWO_PI - K * front.area) / front.signed_length
         vals = np.array([eval_scalar(kfn, p) for p in stars])
-        devs[i] = float(np.max(np.abs(vals - kbar_t))) if stars.size else 0.0
-    return LemmaReport.from_deviations(ts, devs, skipped)
+        devs[i] = float(np.max(np.abs(vals - kbar_t))) if stars.size else np.nan
+    return LemmaReport.from_deviations(ts, devs, skipped, stars)
 
 
 # ---------------------------------------------------------------------------

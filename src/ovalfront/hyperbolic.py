@@ -35,12 +35,10 @@ from .curves import (
     HYPERBOLIC,
     SPACE_FORMS,
     TWO_PI,
-    CurvatureProfile,
     Front,
     SampledCurve,
     SpaceForm,
     _param,
-    count_mean_crossings,
     curvature_profile,
     harmonic_radius,
     mean_attainment_front_check,
@@ -328,7 +326,8 @@ def collapse_front(curve: HyperbolicCurve, force: bool = False) -> CollapseRepor
 
     Cusps of the collapse front sit exactly at the base parameters where
     k equals the mean curvature; closed convex curves with k > 1 have at
-    least four.  Circles collapse to a point and report degenerate.
+    least four.  The report counts the front's own cusps.  Circles (a
+    degenerate curvature profile) collapse to a point and report degenerate.
     """
     if not curve.horocyclic_convex and not force:
         raise NotHorocyclicallyConvexError(
@@ -340,28 +339,20 @@ def collapse_front(curve: HyperbolicCurve, force: bool = False) -> CollapseRepor
     t = -0.5 * np.log((kbar + 1.0) / (kbar - 1.0))
     front = propagate_hyperbolic(curve, t, force=force)
     try:
-        profile = curvature_profile(curve)
+        curvature_profile(curve)
+        degenerate = False
     except DegenerateProfileError:
-        return CollapseReport(
-            front=front,
-            t=float(t),
-            mean_curvature=float(kbar),
-            signed_length=front.signed_length,
-            degenerate=True,
-            cusp_count=None,
-            cusp_params=np.empty(0),
-            passed=None,
-        )
-    count = len(profile.crossing_params)
+        degenerate = True
+    count = None if degenerate else len(front.cusps)
     return CollapseReport(
         front=front,
         t=float(t),
         mean_curvature=float(kbar),
         signed_length=front.signed_length,
-        degenerate=False,
+        degenerate=degenerate,
         cusp_count=count,
-        cusp_params=profile.crossing_params,
-        passed=count >= 4,
+        cusp_params=np.empty(0) if degenerate else front.cusps,
+        passed=None if degenerate else count >= 4,
     )
 
 
@@ -454,22 +445,21 @@ def _green_area(frames_at, knots, values, center) -> float:
     return float(np.sum(weights.ravel() * integrand))
 
 
-def _integrate_profile(knots, values, y0, center=None, s_eval=None):
-    """Carry the frame through a piecewise-linear curvature profile.
+def _integrate_profile(knots, values):
+    """Carry the frame from ``_START_STATE`` through a piecewise-linear curvature profile.
 
-    ``y0`` holds the start point and tangent, plus a running area when
-    ``center`` is given.  Constant pieces take one exact step; ramps take
-    Magnus steps with h max(1, |k|) <= MAGNUS_STEP.  Returns the end state (x, T
-    and, with ``center``, the area added by the polar Green integral) and,
-    at ``s_eval``, the frames as rows (x, T, nu) flattened to 9 columns.
+    Constant pieces take one exact step; ramps take Magnus steps with
+    h max(1, |k|) <= MAGNUS_STEP.  Returns the end state (x, T) and
+    ``frames_at(s)``, the frames at arc lengths s as rows (x, T, nu), shape
+    (m, 3, 3).
     """
     knots = np.asarray(knots, dtype=float)
     values = np.asarray(values, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
+    x0, t0 = _START_STATE[0:3], _START_STATE[3:6]
     counts = np.where(values[1:] != values[:-1], _parts(knots, values, MAGNUS_STEP), 1)
     nodes, h, k_nodes, slopes = _subdivide(knots, values, counts)
     frames = np.empty((len(nodes) + 1, 3, 3))
-    frames[0] = y0[0:3], y0[3:6], mcross(y0[3:6], y0[0:3])
+    frames[0] = x0, t0, mcross(t0, x0)
     for j, step in enumerate(_propagators(h, k_nodes, slopes)):
         frames[j + 1] = step @ frames[j]
 
@@ -478,13 +468,7 @@ def _integrate_profile(knots, values, y0, center=None, s_eval=None):
         j = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 1)
         return _propagators(s - nodes[j], k_nodes[j], slopes[j]) @ frames[j]
 
-    y = frames[-1, 0:2].ravel()
-    if center is not None:
-        y = np.append(y, y0[6] + _green_area(frames_at, knots, values, center))
-    samples = None
-    if s_eval is not None:
-        samples = frames_at(np.asarray(s_eval, dtype=float)).reshape(-1, 9)
-    return y, samples
+    return frames[-1, 0:2].ravel(), frames_at
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +540,7 @@ def _shoot_half(r, corner_scale, flat_deviation, lengths):
     if not (1e-6 <= half_flat < np.inf and 1e-6 <= half_arc < np.inf):
         return np.array([10.0 + abs(half_flat), 10.0 + abs(half_arc)])
     knots, values = _half_profile(r, corner_scale, flat_deviation, half_flat, half_arc)
-    y, _ = _integrate_profile(knots, values, _START_STATE)
+    y, _ = _integrate_profile(knots, values)
     x, tvec = y[0:3], y[3:6]
     # end on the mirror geodesic x2 = 0, tangent perpendicular to it
     return np.array([x[2], -tvec[0] * x[1] + tvec[1] * x[0]])
@@ -584,10 +568,12 @@ def build_rounded_semicircle(spec: RoundedSemicircleSpec) -> HyperbolicCurve:
     r, c, eps = spec.r, spec.corner_scale, spec.flat_deviation
     _corner_peak(r, c, eps)  # validate early
     guess = np.array([max(r - c, 0.1), max(0.5 * np.pi * np.sinh(r) - c, 0.1)])
-    sol = root(
-        lambda v: _shoot_half(r, c, eps, v), guess, method="hybr", options={"xtol": 1e-12}
-    )
-    resid = float(np.linalg.norm(_shoot_half(r, c, eps, sol.x)))
+    # shots at huge r overflow to inf or NaN, which the residual gate rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = root(
+            lambda v: _shoot_half(r, c, eps, v), guess, method="hybr", options={"xtol": 1e-12}
+        )
+        resid = float(np.linalg.norm(_shoot_half(r, c, eps, sol.x)))
     if not resid <= 5e-10:  # a NaN residual fails too
         raise NumericalFailureError(f"corner shooting failed to close (residual {resid:.3g})")
     half_flat, half_arc = sol.x
@@ -611,14 +597,12 @@ def build_rounded_semicircle(spec: RoundedSemicircleSpec) -> HyperbolicCurve:
 
     n = int(spec.n_samples)
     s = np.arange(n) * (length / n)
-    y_end, samples = _integrate_profile(knots, values, _START_STATE, s_eval=s)
+    y_end, frames_at = _integrate_profile(knots, values)
     closure = float(np.linalg.norm(y_end[0:3] - _START_STATE[0:3]))
-    points, tangents, nu = samples[:, 0:3], samples[:, 3:6], samples[:, 6:9]
+    samples = frames_at(s)
+    points, tangents, nu = samples[:, 0], samples[:, 1], samples[:, 2]
     center = normalize_timelike(points.mean(axis=0))
-    y_end2, _ = _integrate_profile(
-        knots, values, np.append(_START_STATE, 0.0), center=center
-    )
-    area = float(y_end2[6])
+    area = _green_area(frames_at, knots, values, center)
 
     k = np.interp(s, knots, values)
     total_turn = float((np.diff(knots) * (values[1:] + values[:-1]) / 2.0).sum())
@@ -696,16 +680,10 @@ def counterexample_verdict(spec: RoundedSemicircleSpec) -> CounterexampleReport:
     corner ramp): a convex curve where the four-point conclusion fails.
     """
     curve = build_rounded_semicircle(spec)
-    kbar = (TWO_PI + curve.A) / curve.L
+    profile = curvature_profile(curve)
+    kbar = profile.mean
     coth_r = 1.0 / np.tanh(spec.r)
-    profile = CurvatureProfile(
-        values=np.asarray(curve.k),
-        mean=float(kbar),
-        param=np.asarray(curve.s),
-        period=curve.L,
-        fn=curve.curv_fn,
-    )
-    report = count_mean_crossings(profile)
+    count = len(profile.crossing_params)
     below = bool(kbar < coth_r)
     convex = bool(curve.min_k > 0.0)
     return CounterexampleReport(
@@ -715,8 +693,8 @@ def counterexample_verdict(spec: RoundedSemicircleSpec) -> CounterexampleReport:
         mean_below_coth=below,
         convex=convex,
         horocyclically_convex=curve.horocyclic_convex,
-        attainment_count=report.count,
-        attainment_params=report.crossings,
-        counterexample=below and convex and report.count < 4,
+        attainment_count=count,
+        attainment_params=profile.crossing_params,
+        counterexample=below and convex and count < 4,
         curve=curve,
     )

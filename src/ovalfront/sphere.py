@@ -14,6 +14,7 @@ excesses) and cross-checked against Gauss-Bonnet: integral(k_g ds) = 2 pi - A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,6 +53,8 @@ from .errors import (
 
 UNIT_NORM_TOL = 1e-10
 FRENET_TOL = 1e-6
+# sigma_3/sigma_1 of the centred samples at or below this counts as planar
+PLANARITY_TOL = 1e-8
 
 # one front type serves every geometry
 SphereFront = Front
@@ -63,7 +66,7 @@ class SphereCurve(SampledCurve):
 
     pole: Optional[np.ndarray] = None
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         return spherical_diameter(self.points)
 
@@ -403,8 +406,10 @@ def total_torsion(curve: SphereCurve) -> TorsionReport:
     """Total torsion (Frenet quadrature) and its sign changes.
 
     Spherical curves have vanishing total torsion; simple ones change
-    torsion sign at least four times.  Planar circles (torsion identically
-    zero) are reported as degenerate.  Right-handed Frenet convention.
+    torsion sign at least four times.  Circles, the planar curves, have
+    torsion identically zero and are reported as degenerate; planarity is
+    read off the samples, since the stencil torsion's roundoff grows like
+    eps/h^3.  Right-handed Frenet convention.
     """
     spacing = curve.L / curve.n_samples
     d1 = _column_deriv(curve.points, 1, spacing)
@@ -418,10 +423,10 @@ def total_torsion(curve: SphereCurve) -> TorsionReport:
         raise FrenetBreakdownError("space curvature vanishes on the grid")
     tau = np.einsum("ij,ij->i", np.cross(d1, d2), d3) / kappa_sq
     integral = float(np.sum(tau) * spacing)
-    top = float(np.max(np.abs(tau)))
-    if top <= 1e-8:
+    sigma = np.linalg.svd(curve.points - curve.points.mean(axis=0), compute_uv=False)
+    if sigma[2] <= PLANARITY_TOL * sigma[0]:
         return TorsionReport(integral=integral, degenerate=True, sign_changes=None, tau=tau)
-    pairs, _ = kernels.transitions(tau, 1e-7 * top)
+    pairs, _ = kernels.transitions(tau, 1e-7 * float(np.max(np.abs(tau))))
     return TorsionReport(
         integral=integral, degenerate=False, sign_changes=len(pairs), tau=tau
     )

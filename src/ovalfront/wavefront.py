@@ -173,8 +173,8 @@ def propagation_lemma_check(
             continue
         kt = k_star / (1.0 + t * k_star)
         kbar_t = TWO_PI / (curve.L + TWO_PI * t)
-        devs[i] = float(np.max(np.abs(kt - kbar_t))) if stars.size else 0.0
-    return LemmaReport.from_deviations(ts, devs, skipped)
+        devs[i] = float(np.max(np.abs(kt - kbar_t))) if stars.size else np.nan
+    return LemmaReport.from_deviations(ts, devs, skipped, stars)
 
 
 # ---------------------------------------------------------------------------

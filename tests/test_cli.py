@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ovalfront import hyperbolic
+from ovalfront import curves, hyperbolic
 from ovalfront.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NUMERICAL_FAILURE,
@@ -311,6 +312,32 @@ def test_counterexample_past_threshold(tmp_path):
     assert (tmp_path / "counterexample_curve.svg").exists()
 
 
+@pytest.mark.parametrize("spec, t", [("sphere", "-1.2"), ("oval", "-1.0")])
+def test_verify_skips_checks_that_would_compare_nothing(tmp_path, spec, t):
+    # one t value, and it lies where the lemma skips every time (the oval's
+    # critical time t* = -L/2pi, a time past cusp onset on the sphere)
+    code = main(["verify", "--input", str(GOLDEN / f"{spec}_spec.json"),
+                 "--out", str(tmp_path), f"--t={t}"])
+    report = read_report(tmp_path, "verify_report.json")
+    assert code == (EXIT_PASS if report["passed"] else EXIT_THEOREM_FAIL)
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in ("defect_invariance", "front_mean_curvature_lemma"):
+        assert checks[name]["passed"] is None, name
+        assert checks[name]["note"], name
+        assert "max_deviation" not in checks[name]
+
+
+def test_plane_verify_finds_the_attainment_set_once(tmp_path, monkeypatch):
+    # four_point, the lemma and the critical front read one cached profile
+    calls = []
+    count = curves.count_mean_crossings
+    monkeypatch.setattr(curves, "count_mean_crossings",
+                        lambda *a, **kw: calls.append(1) or count(*a, **kw))
+    code = main(["verify", "--input", str(GOLDEN / "oval_spec.json"), "--out", str(tmp_path)])
+    assert code == EXIT_PASS
+    assert len(calls) == 1
+
+
 def test_counterexample_below_threshold(tmp_path):
     code = main(["counterexample", "--r", "0.5", "--out", str(tmp_path),
                  "--samples", "512", "--format", "json"])
@@ -333,12 +360,16 @@ def test_counterexample_shooting_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_counterexample_huge_radius_exits_3(tmp_path, capsys):
-    # the shooting overflows at this radius; the closure gate must say so
-    code = main(["counterexample", "--r", "100", "--out", str(tmp_path),
-                 "--samples", "512", "--format", "json"])
+    # the shooting overflows at this radius; the closure gate must say so,
+    # and say nothing else
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["counterexample", "--r", "100", "--out", str(tmp_path),
+                     "--samples", "512", "--format", "json"])
     assert code == EXIT_NUMERICAL_FAILURE
     err = capsys.readouterr().err
-    assert "error: numerical failure: corner shooting failed to close" in err
+    assert err.startswith("error: numerical failure: corner shooting failed to close")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +424,20 @@ def test_counterexample_curve_matches_golden(tmp_path):
     code = main(["counterexample", "--r", "2", "--samples", "256",
                  "--out", str(tmp_path), "--format", "csv"])
     assert code == EXIT_PASS
-    assert (tmp_path / "counterexample_curve.csv").read_bytes() == (
-        GOLDEN / "counterexample_curve.csv"
+    for name in ("counterexample_curve.csv", "counterexample_report.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [("verify", "oval"), ("verify", "sphere"), ("verify", "hyperbolic"), ("analyze", "oval")],
+)
+def test_report_matches_golden(tmp_path, command, spec):
+    # every check's verdict and figures, and the attainment set, byte for byte
+    main([command, "--input", str(GOLDEN / f"{spec}_spec.json"),
+          "--out", str(tmp_path), "--format", "json"])
+    assert (tmp_path / f"{command}_report.json").read_bytes() == (
+        GOLDEN / f"{command}_{spec}.json"
     ).read_bytes()
 
 

@@ -18,6 +18,7 @@ from ovalfront import (
     collapse_front,
     counterexample_threshold,
     counterexample_verdict,
+    curvature_profile,
     defect_value,
     gauss_bonnet_residual_h,
     geodesic_curvature_h,
@@ -175,10 +176,12 @@ def test_collapse_cusps_at_mean_attainment(wavy):
     assert report.passed
     assert report.cusp_count >= 4
     assert abs(report.signed_length) < 1e-7
-    # front cusps solve cosh t + k sinh t = 0, i.e. k = -coth t = mean
+    # the check counts the collapse front's own cusps
     assert len(report.front.cusps) == report.cusp_count
+    np.testing.assert_array_equal(report.cusp_params, report.front.cusps)
+    # front cusps solve cosh t + k sinh t = 0, i.e. k = -coth t = mean
     np.testing.assert_allclose(
-        np.sort(report.front.cusps), np.sort(report.cusp_params), atol=1e-9
+        report.front.cusps, curvature_profile(wavy).crossing_params, atol=1e-9
     )
 
 

@@ -232,6 +232,15 @@ def test_latitude_torsion_degenerate():
     assert abs(report.integral) < 1e-8
 
 
+@pytest.mark.parametrize("n", [4096, 8192])
+def test_latitude_torsion_degenerate_on_fine_grids(n):
+    # the stencil torsion of a circle is roundoff of size eps/h^3 here, which
+    # must not be mistaken for torsion with no sign changes
+    report = total_torsion(sphere_circle(0.9, n_samples=n))
+    assert report.degenerate
+    assert report.sign_changes is None
+
+
 def test_seam_torsion_vanishes_with_sign_changes():
     report = total_torsion(tennis_seam(0.25, n_samples=2048))
     assert not report.degenerate
