@@ -28,10 +28,10 @@ from .curves import (
     curvature_profile,
     defect_value,
     gauss_bonnet_residual,
-    mean_attainment_front_check,
     radius_profile,
     space_form,
     steiner_closed_form,
+    sweep_fronts,
 )
 from .errors import (
     BadParametrizationError,
@@ -47,10 +47,10 @@ from .hyperbolic import (
     collapse_front,
     counterexample_threshold,
     counterexample_verdict,
-    mean_attainment_front_check_h,
     propagate_hyperbolic,
     semicircle_mean_gap,
     semicircle_reference,
+    sweep_fronts_h,
 )
 from .sphere import (
     check_regular_embedded,
@@ -309,36 +309,44 @@ class _Suite:
         return all(c["passed"] is not False for c in self.checks)
 
 
+def _plane_sweep(curve, t_values):
+    """The plane's defects from its fronts and its lemma in closed form."""
+    defects = [defect_value(curve.geometry, f.signed_length, f.area)
+               for f in (propagate(curve, t) for t in t_values)]
+    try:
+        lemma = propagation_lemma_check(curve, t_values)
+    except DegenerateProfileError:
+        lemma = None
+    return defects, lemma
+
+
 def _add_front_checks(suite: _Suite, curve, tol: float, t_values, semigroup_times=None) -> None:
     """Defect invariance and the front mean-curvature lemma over ``t_values``.
 
-    The plane lemma uses its closed form; the curved geometries measure it
-    on the fronts and also check the semigroup law at ``semigroup_times``.
-    A check that would compare nothing is skipped with a note.
+    The plane takes the defects from its fronts and the lemma from its closed
+    form.  The curved geometries build one front per t, read its defect and
+    its measured lemma deviation, and drop it before the next; they also
+    check the semigroup law at ``semigroup_times``.  A check that would
+    compare nothing is skipped with a note.
     """
+    sweep = _by_K(curve, _plane_sweep, sweep_fronts, sweep_fronts_h)
+    defects, lemma = sweep(curve, t_values)
     if len(set(t_values)) < 2:
         suite.add("defect_invariance", None, note="needs two distinct t values")
     else:
-        defects = [defect_value(curve.geometry, f.signed_length, f.area)
-                   for f in (_front_for(curve, t) for t in t_values)]
         _add_defect_check(suite, curve, defects, tol)
 
-    lemma_check = _by_K(curve, propagation_lemma_check, mean_attainment_front_check,
-                        mean_attainment_front_check_h)
-    try:
-        lemma = lemma_check(curve, t_values)
-    except DegenerateProfileError:
+    if lemma is None:
         suite.add("front_mean_curvature_lemma", None, note="circle")
+    elif lemma.max_deviation is None:
+        suite.add("front_mean_curvature_lemma", None,
+                  note="every t skipped or no attainment point")
     else:
-        if lemma.max_deviation is None:
-            suite.add("front_mean_curvature_lemma", None,
-                      note="every t skipped or no attainment point")
-        else:
-            suite.add(
-                "front_mean_curvature_lemma",
-                bool(lemma.max_deviation < tol),
-                max_deviation=lemma.max_deviation,
-            )
+        suite.add(
+            "front_mean_curvature_lemma",
+            bool(lemma.max_deviation < tol),
+            max_deviation=lemma.max_deviation,
+        )
 
     if semigroup_times is not None:
         a, b = semigroup_times

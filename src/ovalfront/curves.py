@@ -558,7 +558,11 @@ def propagate_front(curve, t: float) -> Front:
             def g(x):
                 return c + s * eval_scalar(kfn, x)
 
-            cusps = np.sort(_bracketed_roots(g, pairs, param, period))
+            # where the factor is roundoff (a circle at its collapse time) the
+            # samples flip sign but k(param) does not: no cusp in that bracket
+            ends = (c + s * np.asarray(kfn(param[pairs.ravel()]), dtype=float)).reshape(-1, 2)
+            held = pairs[ends[:, 0] * ends[:, 1] <= 0.0]
+            cusps = np.sort(_bracketed_roots(g, held, param, period))
     area, anchor = form.front_area(points, curve, period)
     k = normal = None
     if form.K != 0:
@@ -606,6 +610,39 @@ class LemmaReport:
         )
 
 
+def sweep_fronts(curve: SampledCurve, t_values: Sequence[float], guard: float = 0.05):
+    """Isoperimetric defects and front mean-curvature lemma from one front per time.
+
+    Returns ``(defects, lemma)``: the list of L_t^2 - A_t(4 pi - K A_t) and
+    the :class:`LemmaReport` of :func:`mean_attainment_front_check`, or
+    ``None`` for a degenerate profile (circle).  Each front is built once,
+    read for both and dropped before the next, so the fronts are never all
+    held at once.
+    """
+    try:
+        stars = curvature_profile(curve).crossing_params
+    except DegenerateProfileError:
+        stars = None
+    K = space_form(curve.geometry).K
+    ts = np.asarray(list(t_values), dtype=float)
+    defects = []
+    devs = np.full(ts.shape, np.nan)
+    skipped = np.zeros(ts.shape, dtype=bool)
+    for i, t in enumerate(ts):
+        front = propagate_front(curve, t)
+        defects.append(defect_value(curve.geometry, front.signed_length, front.area))
+        if stars is None:
+            continue
+        if float(np.min(np.abs(front.factor))) < guard:
+            skipped[i] = True
+        elif stars.size:
+            kfn = periodic_interpolant(front.s, front.k, front.period)
+            kbar_t = (TWO_PI - K * front.area) / front.signed_length
+            vals = np.array([eval_scalar(kfn, p) for p in stars])
+            devs[i] = float(np.max(np.abs(vals - kbar_t)))
+    return defects, None if stars is None else LemmaReport.from_deviations(ts, devs, skipped, stars)
+
+
 def mean_attainment_front_check(
     curve: SampledCurve, t_values: Sequence[float], guard: float = 0.05
 ) -> LemmaReport:
@@ -614,24 +651,11 @@ def mean_attainment_front_check(
     At parameters s* where k(s*) equals the mean (2 pi - K A)/L, the
     measured front curvature must equal (2 pi - K A_t)/L_t, computed from
     the measured front area and signed length.  Times where the front
-    factor comes within ``guard`` of zero are skipped.
+    factor comes within ``guard`` of zero are skipped.  A circle raises
+    :class:`DegenerateProfileError` before any front is built.
     """
-    profile = curvature_profile(curve)
-    stars = profile.crossing_params
-    K = space_form(curve.geometry).K
-    ts = np.asarray(list(t_values), dtype=float)
-    devs = np.full(ts.shape, np.nan)
-    skipped = np.zeros(ts.shape, dtype=bool)
-    for i, t in enumerate(ts):
-        front = propagate_front(curve, t)
-        if float(np.min(np.abs(front.factor))) < guard:
-            skipped[i] = True
-            continue
-        kfn = periodic_interpolant(front.s, front.k, front.period)
-        kbar_t = (TWO_PI - K * front.area) / front.signed_length
-        vals = np.array([eval_scalar(kfn, p) for p in stars])
-        devs[i] = float(np.max(np.abs(vals - kbar_t))) if stars.size else np.nan
-    return LemmaReport.from_deviations(ts, devs, skipped, stars)
+    curvature_profile(curve)
+    return sweep_fronts(curve, t_values, guard)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,9 @@ UNIT_NORM_TOL = 1e-10
 FRENET_TOL = 1e-6
 # sigma_3/sigma_1 of the centred samples at or below this counts as planar
 PLANARITY_TOL = 1e-8
+# samples per block of the pruned diameter scan, and the slack of its bound
+DIAMETER_BLOCK = 64
+DIAMETER_SLACK = 1e-12
 
 # one front type serves every geometry
 SphereFront = Front
@@ -84,17 +87,35 @@ def geodesic_curvature(points: np.ndarray, spacing: float):
     return unit_speed_curvature(points, spacing, SPHERE)
 
 
-def spherical_diameter(points: np.ndarray, chunk: int = 512) -> float:
+def spherical_diameter(points: np.ndarray) -> float:
     """Largest great-circle distance between curve samples.
 
-    Grid maximum over all pairs; a lower bound on the true diameter with
-    error O(spacing^2), tight enough for the embeddedness margin.  arccos
-    decreases, so the farthest pair is the one with the smallest dot product.
+    arccos decreases, so the farthest pair is the one with the smallest dot
+    product.  The result is exact: the same float as a scan over all pairs,
+    a lower bound on the true diameter with error O(spacing^2).  The scan is
+    pruned by blocks of ``DIAMETER_BLOCK`` consecutive samples, each with a
+    centre sample c and a radius r = max|p - c|.  For p in block I and q in
+    block J
+
+        p.q >= c_I.c_J - |c_I| r_J - |c_J| r_I - r_I r_J,
+
+    with the real norms |c|, since samples are renormalised only past
+    ``UNIT_NORM_TOL``.  The smallest centre product belongs to a real pair,
+    so only block pairs whose bound is at most that product plus
+    ``DIAMETER_SLACK`` can hold the minimum; the slack keeps roundoff in the
+    bound from pruning the minimising pair.
     """
-    lowest = min(
-        float((points[lo : lo + chunk] @ points.T).min())
-        for lo in range(0, len(points), chunk)
-    )
+    block = DIAMETER_BLOCK
+    pad = -len(points) % block  # repeating a real sample adds only real pairs
+    blocks = np.concatenate([points, np.repeat(points[-1:], pad, axis=0)])
+    blocks = blocks.reshape(-1, block, points.shape[1])
+    centres = blocks[:, block // 2]
+    radii = np.linalg.norm(blocks - centres[:, None], axis=2).max(axis=1)
+    norms = np.linalg.norm(centres, axis=1)
+    products = centres @ centres.T
+    bound = products - np.add.outer(norms * radii, norms * radii) - np.outer(radii, radii)
+    rows, cols = np.nonzero(np.triu(bound <= products.min() + DIAMETER_SLACK))
+    lowest = min(float((blocks[i] @ blocks[j].T).min()) for i, j in zip(rows, cols))
     return float(np.arccos(np.clip(lowest, -1.0, 1.0)))
 
 

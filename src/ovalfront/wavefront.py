@@ -75,7 +75,9 @@ class SteinerReport:
 def steiner_check(curve: SampledCurve, t_values: Sequence[float], tol: float = 1e-6):
     """Compare measured front length/area with the Steiner polynomials.
 
-    Also differentiates the measured quantities over the grid and checks
+    The length error is relative to max(|L_t|, 2 pi |t|), the size of the
+    terms of L + 2 pi t, which cancel at the critical time t = -L/2pi.  Also
+    differentiates the measured quantities over the grid and checks
     dL/dt = 2 pi and dA/dt = L_t (the grid needs >= 3 points for that).
     """
     ts = np.asarray(list(t_values), dtype=float)
@@ -86,7 +88,7 @@ def steiner_check(curve: SampledCurve, t_values: Sequence[float], tol: float = 1
         lm[i] = f.signed_length
         am[i] = f.area
     lp, ap = steiner_closed_form(curve, ts)
-    rel_l = np.abs(lm - lp) / np.maximum(np.abs(lp), 1e-12)
+    rel_l = np.abs(lm - lp) / np.maximum(np.abs(lp), TWO_PI * np.abs(ts))
     rel_a = np.abs(am - ap) / np.maximum(np.abs(ap), 1e-12)
     if ts.size >= 3:
         dl = np.gradient(lm, ts, edge_order=2)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ovalfront.populations import (
     DEFAULT_SEED,
@@ -11,6 +12,10 @@ from ovalfront.populations import (
     random_trig_polys,
     torsion_test_curves,
 )
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run, whatever a
+# local example database holds; each test keeps its own max_examples
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 @pytest.fixture(scope="session")

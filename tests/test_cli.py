@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ovalfront import curves, hyperbolic
+from ovalfront import cli, curves, hyperbolic, sphere
 from ovalfront.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NUMERICAL_FAILURE,
@@ -336,6 +336,62 @@ def test_plane_verify_finds_the_attainment_set_once(tmp_path, monkeypatch):
     code = main(["verify", "--input", str(GOLDEN / "oval_spec.json"), "--out", str(tmp_path)])
     assert code == EXIT_PASS
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("doc", [WAVY_SPHERE, WAVY_HYPERBOLIC], ids=["spherical", "hyperbolic"])
+def test_curved_verify_builds_one_front_per_t(tmp_path, monkeypatch, doc):
+    # the defect and lemma checks read one front per t: 11 fronts, not 22
+    times = []
+    propagate_front = curves.propagate_front
+
+    def counting(curve, t):
+        times.append(t)
+        return propagate_front(curve, t)
+
+    for module in (curves, sphere, hyperbolic):
+        monkeypatch.setattr(module, "propagate_front", counting)
+    grid = []
+    default_grid = cli._default_t_grid
+    monkeypatch.setattr(cli, "_default_t_grid", lambda curve: grid.extend(default_grid(curve)) or grid)
+    code = main(["verify", "--input", write_spec(tmp_path, doc), "--out", str(tmp_path),
+                 "--samples", "1024"])
+    assert code == EXIT_PASS
+    assert len(grid) == 11
+    # the semigroup times are not on the grid, though one is within 2e-16 of it
+    assert sorted(t for t in times if t in grid) == grid
+
+
+def test_sphere_circle_verify_keeps_the_defect_check(tmp_path):
+    spec = write_spec(tmp_path, {"geometry": "spherical", "representation": "perturbed_circle",
+                                 "rho": 0.9})
+    code = main(["verify", "--input", spec, "--out", str(tmp_path), "--samples", "1024"])
+    assert code == EXIT_PASS
+    checks = {c["name"]: c for c in read_report(tmp_path, "verify_report.json")["checks"]}
+    assert checks["defect_invariance"]["passed"] is True
+    assert checks["front_mean_curvature_lemma"]["passed"] is None
+    assert checks["front_mean_curvature_lemma"]["note"] == "circle"
+
+
+def test_hyperbolic_circle_verify_on_a_fine_grid(tmp_path):
+    # the collapse front's factor is roundoff here; its sampled sign flips
+    # once sent brentq brackets without a sign change
+    spec = write_spec(tmp_path, {"geometry": "hyperbolic", "representation": "hyperbolic_circle",
+                                 "rho": 0.8})
+    code = main(["verify", "--input", spec, "--out", str(tmp_path), "--samples", "4096"])
+    assert code == EXIT_PASS
+    checks = {c["name"]: c for c in read_report(tmp_path, "verify_report.json")["checks"]}
+    assert checks["collapse_front"]["passed"] is None
+    assert checks["collapse_front"]["note"] == "circle collapses to a point"
+
+
+def test_steiner_passes_at_the_critical_time(tmp_path):
+    # L_t vanishes at t* = -L/2pi = -1; the length error is roundoff there
+    code = main(["verify", "--input", str(GOLDEN / "oval_spec.json"), "--out", str(tmp_path),
+                 "--t=-1.0"])
+    assert code == EXIT_PASS
+    checks = {c["name"]: c for c in read_report(tmp_path, "verify_report.json")["checks"]}
+    assert checks["steiner"]["passed"] is True
+    assert checks["steiner"]["max_rel_length"] < 1e-12
 
 
 def test_counterexample_below_threshold(tmp_path):

@@ -170,6 +170,16 @@ def test_circle_collapse_is_degenerate():
     assert abs(report.signed_length) < 1e-8
 
 
+@pytest.mark.parametrize("n", [4096, 8192])
+def test_circle_collapse_on_fine_grids_has_no_cusps(n):
+    # at the collapse time cosh t + k sinh t is roundoff whose sampled sign
+    # flips; the constant curvature function confirms no cusp between them
+    report = collapse_front(hyperbolic_circle(0.8, n_samples=n))
+    assert report.degenerate
+    assert report.front.cusps.size == 0
+    assert abs(report.signed_length) < 1e-8
+
+
 def test_collapse_cusps_at_mean_attainment(wavy):
     report = collapse_front(wavy)
     assert not report.degenerate

@@ -23,10 +23,12 @@ from ovalfront import (
     sphere_curve_from_points,
     spherical_area_fan,
     spherical_area_green,
+    spherical_diameter,
     tennis_ball_check,
     tennis_seam,
     total_torsion,
 )
+from ovalfront.sphere import SPHERE
 
 TWO_PI = 2.0 * np.pi
 
@@ -58,6 +60,50 @@ def test_circle_length_and_area():
 def test_circle_diameter_is_two_rho():
     # antipodal sample pairs exist on the even grid, so the grid max is tight
     assert sphere_circle(0.8).diameter == pytest.approx(1.6, abs=1e-6)
+
+
+def brute_force_diameter(points: np.ndarray, chunk: int = 512) -> float:
+    """The all-pairs scan that the pruned diameter must reproduce bit for bit."""
+    lowest = min(
+        float((points[lo : lo + chunk] @ points.T).min())
+        for lo in range(0, len(points), chunk)
+    )
+    return float(np.arccos(np.clip(lowest, -1.0, 1.0)))
+
+
+@st.composite
+def diameter_loops(draw):
+    """Random unit-vector loops, plain circles and perturbed circles, any n >= 1.
+
+    The loops carry norm errors up to the renormalisation threshold 1e-10.
+    """
+    n = draw(st.integers(min_value=1, max_value=1500))
+    kind = draw(st.sampled_from(["random", "circle", "perturbed"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "random":
+        points = rng.normal(size=(n, 3))
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        return points * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, size=(n, 1)))
+    phi = np.arange(n) * (TWO_PI / n) + draw(st.floats(min_value=0.0, max_value=1.0))
+    theta = np.full(n, draw(st.floats(min_value=0.05, max_value=3.0)))
+    if kind == "perturbed":
+        for m in (2, 3, 5):
+            theta += rng.uniform(0.0, 0.05) * np.cos(m * phi + rng.uniform(0.0, TWO_PI))
+    return SPHERE.polar(theta, phi)
+
+
+@given(points=diameter_loops())
+@settings(max_examples=150, deadline=None)
+def test_pruned_diameter_equals_all_pairs_scan(points):
+    assert spherical_diameter(points) == brute_force_diameter(points)
+
+
+@pytest.mark.parametrize("harmonics", [[], [(2, 0.03, 0.4), (3, 0.02, 1.1)]],
+                         ids=["circle", "perturbed"])
+@pytest.mark.parametrize("rho", [0.8, 1.2])
+def test_pruned_diameter_at_benchmark_size(rho, harmonics):
+    points = perturbed_sphere_circle(rho, harmonics, n_samples=8192).points
+    assert spherical_diameter(points) == brute_force_diameter(points)
 
 
 def test_geodesic_curvature_rejects_nonunit_speed():
