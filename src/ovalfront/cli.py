@@ -50,7 +50,6 @@ from .hyperbolic import (
     propagate_hyperbolic,
     semicircle_mean_gap,
     semicircle_reference,
-    sweep_fronts_h,
 )
 from .sphere import (
     check_regular_embedded,
@@ -309,17 +308,6 @@ class _Suite:
         return all(c["passed"] is not False for c in self.checks)
 
 
-def _plane_sweep(curve, t_values):
-    """The plane's defects from its fronts and its lemma in closed form."""
-    defects = [defect_value(curve.geometry, f.signed_length, f.area)
-               for f in (propagate(curve, t) for t in t_values)]
-    try:
-        lemma = propagation_lemma_check(curve, t_values)
-    except DegenerateProfileError:
-        lemma = None
-    return defects, lemma
-
-
 def _add_front_checks(suite: _Suite, curve, tol: float, t_values, semigroup_times=None) -> None:
     """Defect invariance and the front mean-curvature lemma over ``t_values``.
 
@@ -329,9 +317,19 @@ def _add_front_checks(suite: _Suite, curve, tol: float, t_values, semigroup_time
     check the semigroup law at ``semigroup_times``.  A check that would
     compare nothing is skipped with a note.
     """
-    sweep = _by_K(curve, _plane_sweep, sweep_fronts, sweep_fronts_h)
-    defects, lemma = sweep(curve, t_values)
-    if len(set(t_values)) < 2:
+    distinct = len(set(t_values)) >= 2
+    fronts = (_front_for(curve, t) for t in t_values)
+    if space_form(curve.geometry).K:
+        defects, lemma = sweep_fronts(curve, fronts)
+    else:
+        if distinct:
+            defects = [defect_value(curve.geometry, f.signed_length, f.area) for f in fronts]
+        try:
+            lemma = propagation_lemma_check(curve, t_values)
+        except DegenerateProfileError:
+            lemma = None
+
+    if not distinct:
         suite.add("defect_invariance", None, note="needs two distinct t values")
     else:
         _add_defect_check(suite, curve, defects, tol)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -357,14 +357,23 @@ def count_mean_crossings(profile: CurvatureProfile, tol: float = None) -> Crossi
 
 
 def _bracketed_roots(g, pairs, param, period: float) -> np.ndarray:
-    """Roots of ``g`` in each grid bracket ``(i, j)``, refined by brentq."""
-    roots = np.empty(len(pairs), dtype=float)
-    for row, (i, j) in enumerate(pairs):
+    """Roots of ``g`` in each grid bracket ``(i, j)``, refined by brentq.
+
+    A bracket where ``g`` itself keeps one sign holds no root and is left
+    out: the sampled signs can flip on roundoff where ``g`` does not (a
+    circle's front factor at its collapse time).
+    """
+    roots = []
+    for i, j in pairs:
         lo, hi = param[i], param[j]
         if hi <= lo:  # bracket wraps past the end of the grid
             hi += period
-        roots[row] = brentq(g, lo, hi, xtol=ROOT_XTOL) % period
-    return roots
+        try:
+            roots.append(brentq(g, lo, hi, xtol=ROOT_XTOL) % period)
+        except ValueError as err:
+            if "different signs" not in str(err):
+                raise
+    return np.array(roots, dtype=float)
 
 
 def _param(curve) -> np.ndarray:
@@ -558,11 +567,7 @@ def propagate_front(curve, t: float) -> Front:
             def g(x):
                 return c + s * eval_scalar(kfn, x)
 
-            # where the factor is roundoff (a circle at its collapse time) the
-            # samples flip sign but k(param) does not: no cusp in that bracket
-            ends = (c + s * np.asarray(kfn(param[pairs.ravel()]), dtype=float)).reshape(-1, 2)
-            held = pairs[ends[:, 0] * ends[:, 1] <= 0.0]
-            cusps = np.sort(_bracketed_roots(g, held, param, period))
+            cusps = np.sort(_bracketed_roots(g, pairs, param, period))
     area, anchor = form.front_area(points, curve, period)
     k = normal = None
     if form.K != 0:
@@ -610,37 +615,37 @@ class LemmaReport:
         )
 
 
-def sweep_fronts(curve: SampledCurve, t_values: Sequence[float], guard: float = 0.05):
-    """Isoperimetric defects and front mean-curvature lemma from one front per time.
+def sweep_fronts(curve: SampledCurve, fronts: Iterable[Front], guard: float = 0.05):
+    """Isoperimetric defects and front mean-curvature lemma, one front at a time.
 
     Returns ``(defects, lemma)``: the list of L_t^2 - A_t(4 pi - K A_t) and
     the :class:`LemmaReport` of :func:`mean_attainment_front_check`, or
-    ``None`` for a degenerate profile (circle).  Each front is built once,
-    read for both and dropped before the next, so the fronts are never all
-    held at once.
+    ``None`` for a degenerate profile (circle).  Each front of ``fronts``
+    is read for both and dropped before the next, so a generator keeps one
+    front alive at a time.
     """
     try:
         stars = curvature_profile(curve).crossing_params
     except DegenerateProfileError:
         stars = None
     K = space_form(curve.geometry).K
-    ts = np.asarray(list(t_values), dtype=float)
-    defects = []
-    devs = np.full(ts.shape, np.nan)
-    skipped = np.zeros(ts.shape, dtype=bool)
-    for i, t in enumerate(ts):
-        front = propagate_front(curve, t)
+    ts, defects, devs, skipped = [], [], [], []
+    for front in fronts:
+        ts.append(front.t)
         defects.append(defect_value(curve.geometry, front.signed_length, front.area))
-        if stars is None:
+        skipped.append(stars is not None and float(np.min(np.abs(front.factor))) < guard)
+        if stars is None or skipped[-1] or not stars.size:
+            devs.append(np.nan)
             continue
-        if float(np.min(np.abs(front.factor))) < guard:
-            skipped[i] = True
-        elif stars.size:
-            kfn = periodic_interpolant(front.s, front.k, front.period)
-            kbar_t = (TWO_PI - K * front.area) / front.signed_length
-            vals = np.array([eval_scalar(kfn, p) for p in stars])
-            devs[i] = float(np.max(np.abs(vals - kbar_t)))
-    return defects, None if stars is None else LemmaReport.from_deviations(ts, devs, skipped, stars)
+        kfn = periodic_interpolant(front.s, front.k, front.period)
+        kbar_t = (TWO_PI - K * front.area) / front.signed_length
+        vals = np.array([eval_scalar(kfn, p) for p in stars])
+        devs.append(float(np.max(np.abs(vals - kbar_t))))
+    if stars is None:
+        return defects, None
+    lemma = LemmaReport.from_deviations(np.asarray(ts, dtype=float), np.asarray(devs, dtype=float),
+                                        np.asarray(skipped, dtype=bool), stars)
+    return defects, lemma
 
 
 def mean_attainment_front_check(
@@ -655,7 +660,8 @@ def mean_attainment_front_check(
     :class:`DegenerateProfileError` before any front is built.
     """
     curvature_profile(curve)
-    return sweep_fronts(curve, t_values, guard)[1]
+    fronts = (propagate_front(curve, t) for t in t_values)
+    return sweep_fronts(curve, fronts, guard)[1]
 
 
 # ---------------------------------------------------------------------------

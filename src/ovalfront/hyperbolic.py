@@ -46,7 +46,6 @@ from .curves import (
     polar_curve,
     propagate_front,
     resample_surface_loop,
-    sweep_fronts,
     unit_speed_curvature,
 )
 # the shared K-indexed residual, under its hyperbolic name
@@ -289,10 +288,9 @@ def propagate_hyperbolic(curve, t: float, force: bool = False) -> Front:
     return propagate_front(curve, t)
 
 
-def _refuse_past_cusp_onset(curve, *t_values: float) -> None:
+def _refuse_past_cusp_onset(curve, t: float) -> None:
     k = np.asarray(curve.k, dtype=float)
-    earliest = min(t_values, default=np.inf)
-    if not np.min(k) > 1.0 + HOROCYCLIC_MARGIN and earliest < _first_cusp_time(k):
+    if not np.min(k) > 1.0 + HOROCYCLIC_MARGIN and t < _first_cusp_time(k):
         raise NotHorocyclicallyConvexError(
             "negative-time propagation past cusp onset needs a horocyclically "
             "convex curve (or force=True)"
@@ -306,15 +304,9 @@ def mean_attainment_front_check_h(curve, t_values: Sequence[float], guard: float
     first cusp onset of a curve that is not horocyclically convex.
     """
     ts = list(t_values)
-    _refuse_past_cusp_onset(curve, *ts)
+    for t in ts:
+        _refuse_past_cusp_onset(curve, t)
     return mean_attainment_front_check(curve, ts, guard)
-
-
-def sweep_fronts_h(curve, t_values: Sequence[float], guard: float = 0.05):
-    """:func:`sweep_fronts` behind :func:`propagate_hyperbolic`'s guard on every time."""
-    ts = list(t_values)
-    _refuse_past_cusp_onset(curve, *ts)
-    return sweep_fronts(curve, ts, guard)
 
 
 @dataclass(frozen=True, eq=False)

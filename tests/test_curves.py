@@ -21,6 +21,7 @@ from ovalfront import (
 from ovalfront.curves import (
     PLANE,
     SPEED_TOL,
+    _bracketed_roots,
     _column_deriv,
     arclength_resample,
     average_curvature,
@@ -79,6 +80,16 @@ def test_count_mean_crossings_reports_touches_separately():
     rep2 = count_mean_crossings(prof2, tol=1e-6)
     assert rep2.count == 0
     assert len(rep2.touches) == 2
+
+
+def test_bracketed_roots_leave_out_brackets_without_a_sign_change():
+    # the sampled signs flip in both brackets, but g changes sign only in
+    # the first; the second wraps past the end of the grid
+    x = np.array([0.5, 2.0, 3.5, 4.5])
+    samples = np.cos(x)
+    assert samples[0] * samples[1] < 0 and samples[3] * samples[0] < 0
+    roots = _bracketed_roots(lambda s: np.cos(s) if s < 4.0 else 1.0, [(0, 1), (3, 0)], x, TWO_PI)
+    np.testing.assert_allclose(roots, [np.pi / 2], atol=1e-12)
 
 
 def test_average_curvature_is_2pi_over_length():
