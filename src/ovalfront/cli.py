@@ -1,10 +1,18 @@
 """Command-line front end: analyze, propagate, verify, counterexample, export.
 
-Every flag can also be supplied through an ``OVALFRONT_``-prefixed
-environment variable (e.g. ``OVALFRONT_SAMPLES=2048``); explicit flags
-win.  Exit codes: 0 all checks passed, 1 a theorem check failed
-(artifacts are still written), 2 input or usage error, 3 an internal
-numerical failure on valid input.
+Each command takes only the flags it reads:
+
+    analyze         --input --out --samples --format
+    propagate       --input --out --samples --t --format
+    verify          --input --out --samples --tol --t
+    counterexample  --out --samples --r --format
+    export          --input --out --samples --format
+
+Any other flag is a usage error.  Each flag can also be supplied through an
+``OVALFRONT_``-prefixed environment variable (e.g. ``OVALFRONT_SAMPLES=2048``),
+read for the commands that take it; explicit flags win.  Exit codes: 0 all
+checks passed, 1 a theorem check failed (artifacts are still written), 2
+input or usage error, 3 an internal numerical failure on valid input.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -68,82 +75,72 @@ EXIT_NUMERICAL_FAILURE = 3
 
 ENV_PREFIX = "OVALFRONT_"
 FORMATS = ("csv", "json", "svg")
-
-
-@dataclass
-class RunConfig:
-    """Validated CLI invocation."""
-
-    command: str
-    input_path: Optional[str] = None
-    n_samples: Optional[int] = None
-    tol: float = 1e-6
-    t_spec: Optional[str] = None
-    output_dir: str = "."
-    formats: tuple = ("csv", "json")
-    r: float = 2.0
-
-    def validate(self) -> None:
-        if self.n_samples is not None:
-            n = self.n_samples
-            if n < 64 or (n & (n - 1)) != 0:
-                raise InvalidSpecError("--samples must be >= 64 and a power of two")
-        if not 0.0 < self.tol < np.inf:
-            raise InvalidSpecError("--tol must be a finite positive number")
-        bad = set(self.formats) - set(FORMATS)
-        if bad:
-            raise InvalidSpecError(f"unknown formats: {sorted(bad)}")
+# largest sample count and t grid accepted, checked before anything is allocated
+MAX_SAMPLES = 1 << 20
+MAX_T_VALUES = 10_000
 
 
 def _env(name: str, fallback=None):
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", default=_env("INPUT"), help="curve-spec JSON file")
-    common.add_argument("--out", default=_env("OUT", "."), help="output directory")
-    common.add_argument(
-        "--samples",
-        type=int,
-        default=_env("SAMPLES"),
-        help="sample count override (>= 64, power of two)",
-    )
-    common.add_argument("--tol", type=float, default=_env("TOL", 1e-6))
-    common.add_argument("--t", dest="t_spec", default=_env("T"), help="t value, comma list, or start:stop:step")
-    common.add_argument("--r", type=float, default=_env("R", 2.0))
-    common.add_argument(
-        "--format",
-        default=_env("FORMAT", "csv,json"),
-        help="comma-separated subset of csv,json,svg",
-    )
+def _valid_samples(n: int) -> bool:
+    return 64 <= n <= MAX_SAMPLES and n & (n - 1) == 0
 
+
+def sample_count(text: str) -> int:
+    """``--samples``: a power of two from 64 to ``MAX_SAMPLES``."""
+    n = int(text)
+    if not _valid_samples(n):
+        raise argparse.ArgumentTypeError(f"must be a power of two from 64 to {MAX_SAMPLES}")
+    return n
+
+
+def tolerance(text: str) -> float:
+    """``--tol``: a finite positive number."""
+    tol = float(text)
+    if not 0.0 < tol < np.inf:
+        raise argparse.ArgumentTypeError("must be a finite positive number")
+    return tol
+
+
+def format_list(text: str) -> tuple:
+    """``--format``: a comma-separated subset of ``FORMATS``."""
+    formats = tuple(p.strip() for p in text.split(",") if p.strip())
+    bad = set(formats) - set(FORMATS)
+    if bad:
+        raise argparse.ArgumentTypeError(f"unknown formats: {sorted(bad)}")
+    return formats
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per entry of ``_COMMANDS``, with the flags it reads.
+
+    The flag defaults are read from the environment at each call.
+    """
+    flags = {
+        "--input": dict(default=_env("INPUT"), help="curve-spec JSON file"),
+        "--out": dict(default=_env("OUT", "."), help="output directory"),
+        "--samples": dict(type=sample_count, default=_env("SAMPLES"),
+                          help=f"sample count override (a power of two, 64 to {MAX_SAMPLES})"),
+        "--tol": dict(type=tolerance, default=_env("TOL", 1e-6),
+                      help="check tolerance (finite, > 0)"),
+        "--t": dict(dest="t_spec", default=_env("T"),
+                    help=f"t value, comma list, or start:stop:step (at most {MAX_T_VALUES})"),
+        "--r": dict(type=float, default=_env("R", 2.0), help="semicircle radius"),
+        "--format": dict(type=format_list, default=_env("FORMAT", "csv,json"),
+                         help="comma-separated subset of csv,json,svg"),
+    }
     parser = argparse.ArgumentParser(
         prog="ovalfront",
         description="Convex-curve wavefront analysis and theorem verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[common], help="curvature profile and attainment report")
-    sub.add_parser("propagate", parents=[common], help="equidistant front snapshots over a t grid")
-    sub.add_parser("verify", parents=[common], help="full theorem suite for the input geometry")
-    sub.add_parser("counterexample", parents=[common], help="rounded-semicircle pipeline")
-    sub.add_parser("export", parents=[common], help="re-emit the curve in requested formats")
+    for name, (_, summary, names) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag in names:
+            command.add_argument(flag, **flags[flag])
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        n_samples=int(args.samples) if args.samples is not None else None,
-        tol=float(args.tol),
-        t_spec=args.t_spec,
-        output_dir=args.out,
-        formats=tuple(p.strip() for p in str(args.format).split(",") if p.strip()),
-        r=float(args.r),
-    )
-    cfg.validate()
-    return cfg
 
 
 def parse_t_spec(text: Optional[str]):
@@ -156,15 +153,24 @@ def parse_t_spec(text: Optional[str]):
             start, stop, step = _finite(float(p) for p in text.split(":"))
             if step == 0.0:
                 raise ValueError
-            count = int(np.floor((stop - start) / step + 1e-9)) + 1
+            count = np.floor((stop - start) / step + 1e-9) + 1  # inf for a huge grid
             if count < 1:
                 raise ValueError
-            return [start + i * step for i in range(count)]
+            _check_t_count(count)
+            return [start + i * step for i in range(int(count))]
         if "," in text:
-            return _finite(float(p) for p in text.split(",") if p.strip())
-        return _finite([float(text)])
+            values = _finite(float(p) for p in text.split(",") if p.strip())
+        else:
+            values = _finite([float(text)])
     except ValueError as exc:
         raise InvalidSpecError(f"cannot parse t spec {text!r}") from exc
+    _check_t_count(len(values))
+    return values
+
+
+def _check_t_count(count) -> None:
+    if count > MAX_T_VALUES:
+        raise InvalidSpecError(f"--t grid has more than {MAX_T_VALUES} values")
 
 
 def _finite(values) -> list:
@@ -174,19 +180,20 @@ def _finite(values) -> list:
     return values
 
 
-def _load_curve(cfg: RunConfig):
-    if not cfg.input_path:
+def _load_curve(args):
+    if not args.input:
         raise InvalidSpecError("--input is required for this command")
-    doc = specio.load_curve_spec(cfg.input_path)
-    n_eff = cfg.n_samples or doc.get("n_samples") or 1024
-    n_eff = int(n_eff)
-    if n_eff < 64 or (n_eff & (n_eff - 1)) != 0:
-        raise InvalidSpecError("effective n_samples must be >= 64 and a power of two")
+    doc = specio.load_curve_spec(args.input)
+    n_eff = int(args.samples or doc.get("n_samples") or 1024)
+    if not _valid_samples(n_eff):
+        raise InvalidSpecError(
+            f"effective n_samples must be a power of two from 64 to {MAX_SAMPLES}"
+        )
     return doc, specio.build_curve(doc, n_samples=n_eff)
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
+def _outdir(args) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -211,9 +218,9 @@ def _write_curve_svg(path, curves) -> None:
 # commands
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    _, curve = _load_curve(cfg)
-    out = _outdir(cfg)
+def cmd_analyze(args) -> int:
+    _, curve = _load_curve(args)
+    out = _outdir(args)
     try:
         profile = curvature_profile(curve)
     except DegenerateProfileError:
@@ -240,7 +247,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
             "equidistant_like": int(np.sum(curve.curvature_class == -1)),
         }
 
-    if "csv" in cfg.formats and profile is not None:
+    if "csv" in args.format and profile is not None:
         specio.write_profile_csv(out / "analyze_profile.csv", profile)
         if curve.geometry == EUCLIDEAN:
             rp = radius_profile(curve)
@@ -249,19 +256,19 @@ def cmd_analyze(cfg: RunConfig) -> int:
             sp = spectrum(np.asarray(curve.k) - float(np.mean(curve.k)))
         specio.write_spectrum_csv(out / "analyze_spectrum.csv", sp)
         specio.write_curve_csv(out / "analyze_curve.csv", curve)
-    if "svg" in cfg.formats:
+    if "svg" in args.format:
         _write_curve_svg(out / "analyze_curve.svg", [curve])
-    if "json" in cfg.formats:
+    if "json" in args.format:
         specio.write_json_report(out / "analyze_report.json", report)
     return EXIT_PASS
 
 
-def cmd_propagate(cfg: RunConfig) -> int:
-    t_values = parse_t_spec(cfg.t_spec)
+def cmd_propagate(args) -> int:
+    t_values = parse_t_spec(args.t_spec)
     if not t_values:
         raise InvalidSpecError("--t is required for propagate")
-    _, curve = _load_curve(cfg)
-    out = _outdir(cfg)
+    _, curve = _load_curve(args)
+    out = _outdir(args)
     snapshots = []
     fronts = []
     for i, t in enumerate(t_values):
@@ -280,11 +287,11 @@ def cmd_propagate(cfg: RunConfig) -> int:
                 "cusp_params": front.cusps,
             }
         )
-        if "csv" in cfg.formats:
+        if "csv" in args.format:
             specio.write_front_csv(out / f"front_{i:03d}.csv", front)
-    if "svg" in cfg.formats:
+    if "svg" in args.format:
         _write_curve_svg(out / "propagate_fronts.svg", [curve, *fronts])
-    if "json" in cfg.formats:
+    if "json" in args.format:
         specio.write_json_report(
             out / "propagate_report.json",
             {"command": "propagate", "geometry": curve.geometry, "snapshots": snapshots},
@@ -536,16 +543,16 @@ def _verify_hyperbolic(curve, tol: float, t_values) -> _Suite:
     return suite
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    _, curve = _load_curve(cfg)
-    out = _outdir(cfg)
-    t_values = parse_t_spec(cfg.t_spec) or _default_t_grid(curve)
+def cmd_verify(args) -> int:
+    _, curve = _load_curve(args)
+    out = _outdir(args)
+    t_values = parse_t_spec(args.t_spec) or _default_t_grid(curve)
     verify = _by_K(curve, _verify_euclidean, _verify_spherical, _verify_hyperbolic)
-    suite = verify(curve, cfg.tol, t_values)
+    suite = verify(curve, args.tol, t_values)
     report = {
         "command": "verify",
         "geometry": curve.geometry,
-        "tol": cfg.tol,
+        "tol": args.tol,
         "t_grid": list(t_values),
         "checks": suite.checks,
         "passed": suite.passed,
@@ -554,11 +561,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_PASS if suite.passed else EXIT_THEOREM_FAIL
 
 
-def cmd_counterexample(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
+def cmd_counterexample(args) -> int:
+    out = _outdir(args)
     threshold = counterexample_threshold()
-    n = cfg.n_samples or 4096
-    spec = RoundedSemicircleSpec(r=cfg.r, n_samples=n)
+    spec = RoundedSemicircleSpec(r=args.r, n_samples=args.samples or 4096)
     verdict = counterexample_verdict(spec)
 
     sweep_r = list(np.linspace(0.25, 5.0, 20))
@@ -573,14 +579,14 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 
     expected = (
         verdict.counterexample
-        if cfg.r > threshold.r_star
+        if args.r > threshold.r_star
         else not verdict.mean_below_coth
     )
     report = {
         "command": "counterexample",
         "threshold_r": threshold.r_star,
         "threshold_sign_changes": threshold.sign_changes,
-        "r": cfg.r,
+        "r": args.r,
         "mean_curvature": verdict.mean_curvature,
         "coth_r": verdict.coth_r,
         "mean_below_coth": verdict.mean_below_coth,
@@ -593,21 +599,21 @@ def cmd_counterexample(cfg: RunConfig) -> int:
         "sweep": sweep,
     }
     specio.write_json_report(out / "counterexample_report.json", report)
-    if "csv" in cfg.formats:
+    if "csv" in args.format:
         specio.write_curve_csv(out / "counterexample_curve.csv", verdict.curve)
-    if "svg" in cfg.formats:
+    if "svg" in args.format:
         specio.write_klein_svg(out / "counterexample_curve.svg", [verdict.curve])
     return EXIT_PASS if expected else EXIT_THEOREM_FAIL
 
 
-def cmd_export(cfg: RunConfig) -> int:
-    doc, curve = _load_curve(cfg)
-    out = _outdir(cfg)
-    if "csv" in cfg.formats:
+def cmd_export(args) -> int:
+    doc, curve = _load_curve(args)
+    out = _outdir(args)
+    if "csv" in args.format:
         specio.write_curve_csv(out / "export_curve.csv", curve)
-    if "svg" in cfg.formats:
+    if "svg" in args.format:
         _write_curve_svg(out / "export_curve.svg", [curve])
-    if "json" in cfg.formats:
+    if "json" in args.format:
         specio.write_json_report(
             out / "export_curve.json",
             {
@@ -622,12 +628,18 @@ def cmd_export(cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
+# name -> (command, help line, the flags it reads)
 _COMMANDS = {
-    "analyze": cmd_analyze,
-    "propagate": cmd_propagate,
-    "verify": cmd_verify,
-    "counterexample": cmd_counterexample,
-    "export": cmd_export,
+    "analyze": (cmd_analyze, "curvature profile and attainment report",
+                ("--input", "--out", "--samples", "--format")),
+    "propagate": (cmd_propagate, "equidistant front snapshots over a t grid",
+                  ("--input", "--out", "--samples", "--t", "--format")),
+    "verify": (cmd_verify, "full theorem suite for the input geometry",
+               ("--input", "--out", "--samples", "--tol", "--t")),
+    "counterexample": (cmd_counterexample, "rounded-semicircle pipeline",
+                       ("--out", "--samples", "--r", "--format")),
+    "export": (cmd_export, "re-emit the curve in requested formats",
+               ("--input", "--out", "--samples", "--format")),
 }
 
 
@@ -638,8 +650,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
     try:
-        cfg = config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command][0](args)
     except NumericalFailureError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

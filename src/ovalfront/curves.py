@@ -43,6 +43,10 @@ ROOT_XTOL = 1e-10
 SPEED_TOL = 1e-6
 # |measured speed| below this counts as a cusp sample in fronts.
 CUSP_SPEED_GUARD = 1e-9
+# The front lemma skips a time where the front factor comes this close to 0.
+LEMMA_GUARD = 0.05
+# Dense-grid factor of the inverse arc-length map in resampling.
+RESAMPLE_OVERSAMPLE = 8
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -86,7 +90,6 @@ class SampledCurve:
     k: np.ndarray
     L: float
     A: float
-    closed: bool = True
     param: Optional[np.ndarray] = None
     tangent: Optional[np.ndarray] = None
     normal: Optional[np.ndarray] = None
@@ -100,7 +103,7 @@ class SampledCurve:
         s = np.asarray(self.s, dtype=float)
         if s.size and (s[0] != 0.0 or np.any(np.diff(s) <= 0.0)):
             raise BadParametrizationError("s must start at 0 and increase")
-        if self.closed and s.size and self.L - s[-1] <= 0.0:
+        if s.size and self.L - s[-1] <= 0.0:
             raise BadParametrizationError("wrap gap L - s[-1] must be positive")
 
     @property
@@ -323,18 +326,18 @@ def radius_profile(curve: SampledCurve) -> CurvatureProfile:
     )
 
 
-def count_mean_crossings(profile: CurvatureProfile, tol: float = None) -> CrossingReport:
+def count_mean_crossings(profile: CurvatureProfile) -> CrossingReport:
     """Count transversal crossings of ``values`` through ``mean``.
 
-    Tangential touches (in-band runs that do not separate opposite signs)
-    are reported separately and never counted as crossings.  Raises
-    :class:`DegenerateProfileError` when the whole profile sits inside the
-    tolerance band: the mean is attained everywhere (circle case).
+    The hysteresis band is ``CROSSING_TOL_FACTOR`` times the profile scale,
+    max(|mean|, max|values - mean|).  Tangential touches (in-band runs that
+    do not separate opposite signs) are reported separately and never
+    counted as crossings.  Raises :class:`DegenerateProfileError` when the
+    whole profile sits inside the band: the mean is attained everywhere
+    (circle case).
     """
     dev = profile.values - profile.mean
-    scale = max(abs(profile.mean), float(np.max(np.abs(dev))))
-    if tol is None:
-        tol = CROSSING_TOL_FACTOR * scale
+    tol = CROSSING_TOL_FACTOR * max(abs(profile.mean), float(np.max(np.abs(dev))))
     if float(np.max(np.abs(dev))) <= tol:
         raise DegenerateProfileError(
             "profile constant within tolerance; mean attained everywhere"
@@ -529,10 +532,8 @@ class Front:
         return self.factor * np.asarray(self.base.w, dtype=float)
 
     @property
-    def pole(self) -> Optional[np.ndarray]:
+    def center(self) -> Optional[np.ndarray]:
         return self.anchor
-
-    center = pole
 
 
 def _measured_curvature(form: SpaceForm, points: np.ndarray, spacing: float):
@@ -615,7 +616,7 @@ class LemmaReport:
         )
 
 
-def sweep_fronts(curve: SampledCurve, fronts: Iterable[Front], guard: float = 0.05):
+def sweep_fronts(curve: SampledCurve, fronts: Iterable[Front]):
     """Isoperimetric defects and front mean-curvature lemma, one front at a time.
 
     Returns ``(defects, lemma)``: the list of L_t^2 - A_t(4 pi - K A_t) and
@@ -633,7 +634,7 @@ def sweep_fronts(curve: SampledCurve, fronts: Iterable[Front], guard: float = 0.
     for front in fronts:
         ts.append(front.t)
         defects.append(defect_value(curve.geometry, front.signed_length, front.area))
-        skipped.append(stars is not None and float(np.min(np.abs(front.factor))) < guard)
+        skipped.append(stars is not None and float(np.min(np.abs(front.factor))) < LEMMA_GUARD)
         if stars is None or skipped[-1] or not stars.size:
             devs.append(np.nan)
             continue
@@ -648,28 +649,29 @@ def sweep_fronts(curve: SampledCurve, fronts: Iterable[Front], guard: float = 0.
     return defects, lemma
 
 
-def mean_attainment_front_check(
-    curve: SampledCurve, t_values: Sequence[float], guard: float = 0.05
-) -> LemmaReport:
+def mean_attainment_front_check(curve: SampledCurve, t_values: Sequence[float]) -> LemmaReport:
     """Attainment parameters keep mean front curvature under propagation.
 
     At parameters s* where k(s*) equals the mean (2 pi - K A)/L, the
     measured front curvature must equal (2 pi - K A_t)/L_t, computed from
     the measured front area and signed length.  Times where the front
-    factor comes within ``guard`` of zero are skipped.  A circle raises
+    factor comes within ``LEMMA_GUARD`` of zero are skipped.  A circle raises
     :class:`DegenerateProfileError` before any front is built.
     """
     curvature_profile(curve)
     fronts = (propagate_front(curve, t) for t in t_values)
-    return sweep_fronts(curve, fronts, guard)[1]
+    return sweep_fronts(curve, fronts)[1]
 
 
 # ---------------------------------------------------------------------------
 # arc-length resampling
 
 
-def arclength_resample(point_fn, n_samples: int, speed_fn, oversample: int = 8):
+def arclength_resample(point_fn, n_samples: int, speed_fn):
     """Resample a closed parametric curve to uniform arc length.
+
+    The inverse arc-length map is a spline through a dense grid of
+    ``RESAMPLE_OVERSAMPLE * n_samples`` parameter values.
 
     Parameters
     ----------
@@ -679,14 +681,12 @@ def arclength_resample(point_fn, n_samples: int, speed_fn, oversample: int = 8):
         Number of output samples.
     speed_fn : callable
         Metric speed |dp/du| of the parametrization.
-    oversample : int
-        Dense-grid factor used to build the inverse arc-length map.
 
     Returns
     -------
     points, s, L, params
     """
-    m = oversample * n_samples
+    m = RESAMPLE_OVERSAMPLE * n_samples
     u = np.arange(m) * (TWO_PI / m)
     vel = np.asarray(speed_fn(u), dtype=float)
     if np.any(vel <= 0.0):

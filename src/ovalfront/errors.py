@@ -21,10 +21,6 @@ class DegenerateProfileError(OvalfrontError):
     """
 
 
-class NonUniformGridError(OvalfrontError):
-    """Sample parameters are not uniformly spaced."""
-
-
 class AllBelowToleranceError(OvalfrontError):
     """Every sample lies inside the hysteresis band around zero."""
 

@@ -10,12 +10,10 @@ spectral route to the four-point property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import _kernels as kernels
-from .errors import AllBelowToleranceError, NonUniformGridError
+from .errors import AllBelowToleranceError
 
 # Relative floor below which a harmonic amplitude counts as absent.
 AMP_TOL_FACTOR = 1e-9
@@ -56,29 +54,17 @@ class SturmHurwitzReport:
     spectrum: Spectrum
 
 
-def spectrum(values, n_max: Optional[int] = None, param=None) -> Spectrum:
+def spectrum(values) -> Spectrum:
     """Discrete real Fourier coefficients of uniformly spaced samples.
 
-    ``param``, when given, is validated for uniform spacing (including the
-    wrap gap); a non-uniform grid raises :class:`NonUniformGridError`.
-    The default ``n_max`` is count // 4 so every reported harmonic is
-    sampled at least four times per period.
+    Harmonics run up to count // 4, so every reported harmonic is sampled
+    at least four times per period.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 4:
         raise ValueError("need a 1-d sequence of at least 4 samples")
     n = v.size
-    if param is not None:
-        p = np.asarray(param, dtype=float)
-        if p.shape != v.shape:
-            raise NonUniformGridError("param grid length mismatch")
-        gaps = np.diff(p)
-        if np.any(gaps <= 0) or not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
-            raise NonUniformGridError("sample parameters are not uniformly spaced")
-    if n_max is None:
-        n_max = n // 4
-    if n_max < 1 or n < 4 * n_max:
-        raise ValueError(f"need at least 4*n_max={4 * n_max} samples, got {n}")
+    n_max = n // 4
     coeff = np.fft.rfft(v)
     cos_amps = 2.0 * coeff.real[: n_max + 1] / n
     sin_amps = -2.0 * coeff.imag[: n_max + 1] / n
@@ -87,10 +73,10 @@ def spectrum(values, n_max: Optional[int] = None, param=None) -> Spectrum:
     return Spectrum(cos_amps=cos_amps, sin_amps=sin_amps)
 
 
-def first_nontrivial_harmonic(sp: Spectrum, amp_tol: Optional[float] = None):
+def first_nontrivial_harmonic(sp: Spectrum):
     """Smallest n >= 1 with amplitude above tolerance, or None if absent.
 
-    The default tolerance is 1e-9 times the largest harmonic amplitude.
+    The tolerance is 1e-9 times the largest harmonic amplitude.
     """
     amps = sp.amplitudes
     if len(amps) < 2:
@@ -99,9 +85,7 @@ def first_nontrivial_harmonic(sp: Spectrum, amp_tol: Optional[float] = None):
     top = float(tail.max())
     if top == 0.0:
         return None
-    if amp_tol is None:
-        amp_tol = AMP_TOL_FACTOR * top
-    above = np.flatnonzero(tail > amp_tol)
+    above = np.flatnonzero(tail > AMP_TOL_FACTOR * top)
     if above.size == 0:
         return None
     return int(above[0]) + 1
@@ -120,23 +104,22 @@ def count_sign_changes(values, tol: float = 0.0) -> int:
     return len(pairs)
 
 
-def verify_sturm_hurwitz(values, amp_tol=None, sign_tol=None) -> SturmHurwitzReport:
+def verify_sturm_hurwitz(values) -> SturmHurwitzReport:
     """Check the sign-change bound z >= 2m on centred periodic samples.
 
     The sequence is centred on its own mean; m is the first nontrivial
     harmonic of the centred spectrum and z the hysteresis sign-change
-    count.  Errors from the component steps (all-zero sequences and the
-    like) propagate unchanged.
+    count, with a band of 1e-9 times the largest centred sample.  Errors
+    from the component steps (all-zero sequences and the like) propagate
+    unchanged.
     """
     v = np.asarray(values, dtype=float)
     centred = v - v.mean()
     sp = spectrum(centred)
-    m = first_nontrivial_harmonic(sp, amp_tol=amp_tol)
+    m = first_nontrivial_harmonic(sp)
     if m is None:
         raise AllBelowToleranceError("no nontrivial harmonic in centred samples")
-    if sign_tol is None:
-        sign_tol = AMP_TOL_FACTOR * float(np.max(np.abs(centred)))
-    z = count_sign_changes(centred, tol=sign_tol)
+    z = count_sign_changes(centred, tol=AMP_TOL_FACTOR * float(np.max(np.abs(centred))))
     return SturmHurwitzReport(
         first_harmonic=m, sign_changes=z, passed=z >= 2 * m, spectrum=sp
     )

@@ -38,7 +38,6 @@ from .curves import (
     Front,
     SampledCurve,
     SpaceForm,
-    _param,
     curvature_profile,
     harmonic_radius,
     mean_attainment_front_check,
@@ -48,8 +47,6 @@ from .curves import (
     resample_surface_loop,
     unit_speed_curvature,
 )
-# the shared K-indexed residual, under its hyperbolic name
-from .curves import gauss_bonnet_residual as gauss_bonnet_residual_h  # noqa: F401
 from .errors import (
     BadParametrizationError,
     CothDomainError,
@@ -62,14 +59,12 @@ from .errors import (
 
 HYPERBOLOID_NORM_TOL = 1e-10
 HOROCYCLIC_MARGIN = 1e-6
+# half-width of the horocycle-like band of k about 1
 CLASS_BAND = 1e-6
 
 CIRCLE_LIKE = 1
 HOROCYCLE_LIKE = 0
 EQUIDISTANT_LIKE = -1
-
-# one front type serves every geometry
-HyperbolicFront = Front
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +107,6 @@ class HyperbolicCurve(SampledCurve):
         return float(np.min(self.k))
 
     @property
-    def min_k_param(self) -> float:
-        return float(_param(self)[np.argmin(self.k)])
-
-    @property
     def horocyclic_convex(self) -> bool:
         return self.min_k > 1.0 + HOROCYCLIC_MARGIN
 
@@ -124,11 +115,11 @@ class HyperbolicCurve(SampledCurve):
         return classify_curvature(self.k)
 
 
-def classify_curvature(k: np.ndarray, band: float = CLASS_BAND) -> np.ndarray:
+def classify_curvature(k: np.ndarray) -> np.ndarray:
     """Per-sample tag: +1 circle-like, 0 horocycle-like, -1 equidistant-like."""
     tags = np.zeros(len(k), dtype=np.int8)
-    tags[k > 1.0 + band] = CIRCLE_LIKE
-    tags[k < 1.0 - band] = EQUIDISTANT_LIKE
+    tags[k > 1.0 + CLASS_BAND] = CIRCLE_LIKE
+    tags[k < 1.0 - CLASS_BAND] = EQUIDISTANT_LIKE
     return tags
 
 
@@ -241,30 +232,6 @@ def hyperbolic_curve_from_points(points, n_samples: int = 1024) -> HyperbolicCur
 
 
 # ---------------------------------------------------------------------------
-# convexity classification
-
-
-@dataclass(frozen=True, eq=False)
-class HorocyclicReport:
-    horocyclic_convex: bool
-    min_k: float
-    min_k_param: float
-    margin: float
-
-
-def check_horocyclic_convexity(
-    curve: HyperbolicCurve, margin: float = HOROCYCLIC_MARGIN
-) -> HorocyclicReport:
-    """Flag whether min k > 1 + margin, with the minimizing parameter."""
-    return HorocyclicReport(
-        horocyclic_convex=curve.min_k > 1.0 + margin,
-        min_k=curve.min_k,
-        min_k_param=curve.min_k_param,
-        margin=margin,
-    )
-
-
-# ---------------------------------------------------------------------------
 # propagation
 
 
@@ -297,7 +264,7 @@ def _refuse_past_cusp_onset(curve, t: float) -> None:
         )
 
 
-def mean_attainment_front_check_h(curve, t_values: Sequence[float], guard: float = 0.05):
+def mean_attainment_front_check_h(curve, t_values: Sequence[float]):
     """:func:`mean_attainment_front_check` behind :func:`propagate_hyperbolic`'s guard.
 
     Raises :class:`NotHorocyclicallyConvexError` when any time lies past the
@@ -306,7 +273,7 @@ def mean_attainment_front_check_h(curve, t_values: Sequence[float], guard: float
     ts = list(t_values)
     for t in ts:
         _refuse_past_cusp_onset(curve, t)
-    return mean_attainment_front_check(curve, ts, guard)
+    return mean_attainment_front_check(curve, ts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -642,20 +609,22 @@ def semicircle_mean_gap(r: float) -> float:
 class ThresholdReport:
     r_star: float
     sign_changes: int
-    scan_lo: float
-    scan_hi: float
 
 
-def counterexample_threshold(lo: float = 0.05, hi: float = 5.0, n_scan: int = 4096) -> ThresholdReport:
-    """Locate the radius where the semicircle mean curvature crosses coth r."""
-    rs = np.linspace(lo, hi, int(n_scan))
+def counterexample_threshold() -> ThresholdReport:
+    """Locate the radius where the semicircle mean curvature crosses coth r.
+
+    The sign change is found on a scan of 4096 radii in [0.05, 5] and
+    refined by brentq.
+    """
+    rs = np.linspace(0.05, 5.0, 4096)
     gs = semicircle_mean_gap(rs)
     flips = np.flatnonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)
     if len(flips) != 1:
         raise OvalfrontError(f"expected one threshold crossing, found {len(flips)}")
     i = int(flips[0])
     r_star = brentq(semicircle_mean_gap, rs[i], rs[i + 1], xtol=1e-12)
-    return ThresholdReport(r_star=float(r_star), sign_changes=1, scan_lo=lo, scan_hi=hi)
+    return ThresholdReport(r_star=float(r_star), sign_changes=1)
 
 
 @dataclass(frozen=True, eq=False)

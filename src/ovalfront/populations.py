@@ -44,51 +44,40 @@ def _accepted(count: int, draw) -> list:
     return out
 
 
-def random_support_ovals(
-    count: int = 200,
-    seed: int = DEFAULT_SEED,
-    n_samples: int = 1024,
-    n_max: int = 8,
-    min_radius: float = 0.05,
-    min_variation: float = 1e-3,
-):
-    """Random convex support-function ovals with harmonics 2..n_max.
+def random_support_ovals(count: int = 200, seed: int = DEFAULT_SEED, n_samples: int = 1024):
+    """Random convex support-function ovals with harmonics 2..8.
 
     Amplitudes fall off like 1/m^2; draws violating the convexity margin
-    (min curvature radius <= min_radius) or too close to a circle are
-    rejected and redrawn.
+    (min curvature radius <= 0.05) or too close to a circle (radius
+    variation <= 1e-3) are rejected and redrawn.
     """
     rng = np.random.default_rng(seed)
 
     def draw():
         coeffs = [(1.0, 0.0), (0.0, 0.0)]
-        for m in range(2, n_max + 1):
+        for m in range(2, 9):
             sigma = 0.08 / m**2
             coeffs.append((rng.normal(0.0, sigma), rng.normal(0.0, sigma)))
         curve = build_oval(SupportOval(coeffs=tuple(coeffs), n_samples=n_samples))
         radii = 1.0 / curve.k
-        if float(np.min(radii)) <= min_radius:
+        if float(np.min(radii)) <= 0.05:
             return None
-        if float(np.max(radii) - np.min(radii)) <= min_variation:
+        if float(np.max(radii) - np.min(radii)) <= 1e-3:
             return None
         return curve
 
     return _accepted(count, draw)
 
 
-def random_trig_polys(
-    count: int = 1000,
-    seed: int = DEFAULT_SEED,
-    n_points: int = 512,
-    extra_harmonics: int = 4,
-):
-    """Random mean-zero trig polynomials with known lowest harmonic.
+def random_trig_polys(count: int = 1000, seed: int = DEFAULT_SEED):
+    """Random mean-zero trig polynomials with known lowest harmonic, on 512 points.
 
     Returns a list of (values, m) pairs.  The lowest harmonic m is drawn
     from [1, 6] and given amplitude at least 0.15 so detection from the
-    spectrum is unambiguous; higher harmonics decay like 1/n.
+    spectrum is unambiguous; the four harmonics above it decay like 1/n.
     """
     rng = np.random.default_rng(seed)
+    n_points = 512
     x = np.arange(n_points) * (2.0 * np.pi / n_points)
     out = []
     for _ in range(count):
@@ -97,19 +86,15 @@ def random_trig_polys(
         phase = rng.uniform(0.0, 2.0 * np.pi)
         base_amp = 0.15 + abs(rng.normal(0.0, 0.5))
         values += base_amp * np.cos(m * x + phase)
-        for n in range(m + 1, m + 1 + extra_harmonics):
+        for n in range(m + 1, m + 5):
             values += rng.normal(0.0, 0.3 / n) * np.cos(n * x + rng.uniform(0.0, 2.0 * np.pi))
         out.append((values, m))
     return out
 
 
-def random_perturbed_sphere_circles(
-    count: int = 50,
-    seed: int = DEFAULT_SEED,
-    n_samples: int = 1024,
-    min_curvature: float = 0.2,
-):
-    """Random convex perturbed circles contained in an open hemisphere."""
+def random_perturbed_sphere_circles(count: int = 50, seed: int = DEFAULT_SEED,
+                                    n_samples: int = 1024):
+    """Random convex perturbed circles in an open hemisphere, with min k > 0.2."""
     rng = np.random.default_rng(seed)
 
     def draw():
@@ -122,7 +107,7 @@ def random_perturbed_sphere_circles(
         curve = perturbed_sphere_circle(rho, harmonics, n_samples=n_samples)
         if curve.pole is None:
             return None
-        if float(np.min(curve.k)) <= min_curvature:
+        if float(np.min(curve.k)) <= 0.2:
             return None
         if float(np.max(curve.k) - np.min(curve.k)) <= 1e-4:
             return None
@@ -131,13 +116,8 @@ def random_perturbed_sphere_circles(
     return _accepted(count, draw)
 
 
-def random_hyperbolic_ovals(
-    count: int = 50,
-    seed: int = DEFAULT_SEED,
-    n_samples: int = 1024,
-    min_curvature: float = 1.05,
-):
-    """Random horocyclically convex perturbed circles on the hyperboloid."""
+def random_hyperbolic_ovals(count: int = 50, seed: int = DEFAULT_SEED, n_samples: int = 1024):
+    """Random horocyclically convex perturbed circles on the hyperboloid: min k > 1.05."""
     rng = np.random.default_rng(seed)
 
     def draw():
@@ -148,7 +128,7 @@ def random_hyperbolic_ovals(
             for m in orders
         ]
         curve = perturbed_hyperbolic_circle(rho, harmonics, n_samples=n_samples)
-        if float(np.min(curve.k)) <= min_curvature:
+        if float(np.min(curve.k)) <= 1.05:
             return None
         if float(np.max(curve.k) - np.min(curve.k)) <= 1e-4:
             return None

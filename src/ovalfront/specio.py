@@ -39,6 +39,8 @@ REPRESENTATIONS = {
 }
 
 _DEFAULT_SAMPLES = 1024
+# width and height of every SVG picture, in pixels
+SVG_SIZE = 640
 
 
 def load_curve_spec(path) -> dict:
@@ -292,10 +294,10 @@ def _polyline(xs, ys, color: str, width: float = 1.5) -> str:
     )
 
 
-def write_plane_svg(path, fronts, size: int = 640) -> None:
+def write_plane_svg(path, fronts) -> None:
     """Plane curves/fronts with cusp markers, one polyline per object."""
     allpts = np.vstack([np.asarray(f.points) for f in fronts])
-    to_px = _fit(allpts, size, 24.0)
+    to_px = _fit(allpts, SVG_SIZE, 24.0)
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     body = []
     for idx, f in enumerate(fronts):
@@ -309,15 +311,15 @@ def write_plane_svg(path, fronts, size: int = 640) -> None:
                 '<circle cx="%.2f" cy="%.2f" r="3.5" fill="#000000"/>' % c
                 for c in zip(px.tolist(), py.tolist())
             )
-    _svg(path, size, size, body)
+    _svg(path, SVG_SIZE, SVG_SIZE, body)
 
 
-def write_disc_svg(path, curves, chart, size: int = 640) -> None:
+def write_disc_svg(path, curves, chart) -> None:
     """Curves drawn in a unit-disc chart, with the disc's rim.
 
     ``chart(points)`` returns the disc coordinates (X, Y) of ambient points.
     """
-    half = size / 2
+    half = SVG_SIZE / 2
     r = half - 24
     body = [
         f'<circle cx="{half}" cy="{half}" r="{r:.2f}" fill="none" '
@@ -327,14 +329,14 @@ def write_disc_svg(path, curves, chart, size: int = 640) -> None:
     for idx, c in enumerate(curves):
         u, v = chart(np.asarray(c.points))
         body.append(_polyline(half + u * r, half - v * r, palette[idx % len(palette)]))
-    _svg(path, size, size, body)
+    _svg(path, SVG_SIZE, SVG_SIZE, body)
 
 
-def write_sphere_svg(path, curves, size: int = 640) -> None:
+def write_sphere_svg(path, curves) -> None:
     """Orthographic projection from +z with the visible rim."""
-    write_disc_svg(path, curves, lambda p: (p[:, 0], p[:, 1]), size)
+    write_disc_svg(path, curves, lambda p: (p[:, 0], p[:, 1]))
 
 
-def write_klein_svg(path, curves, size: int = 640) -> None:
+def write_klein_svg(path, curves) -> None:
     """Hyperboloid curves drawn in the projective (Klein) disc x_i/x_0."""
-    write_disc_svg(path, curves, lambda p: (p[:, 1] / p[:, 0], p[:, 2] / p[:, 0]), size)
+    write_disc_svg(path, curves, lambda p: (p[:, 1] / p[:, 0], p[:, 2] / p[:, 0]))

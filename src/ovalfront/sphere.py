@@ -39,8 +39,6 @@ from .curves import (
     resample_surface_loop,
     unit_speed_curvature,
 )
-# the shared K-indexed checks, under their sphere names
-from .curves import gauss_bonnet_residual, mean_attainment_front_check  # noqa: F401
 from .errors import (
     BadParametrizationError,
     DegenerateProfileError,
@@ -59,15 +57,18 @@ PLANARITY_TOL = 1e-8
 DIAMETER_BLOCK = 64
 DIAMETER_SLACK = 1e-12
 
-# one front type serves every geometry
-SphereFront = Front
-
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class SphereCurve(SampledCurve):
-    """Spherical curve with hemisphere witness and spherical diameter."""
+    """Spherical curve with hemisphere witness and spherical diameter.
+
+    ``pole`` is the hemisphere witness, or ``None`` when the curve has none.
+    ``anchor`` is the point its area was measured about; its fronts measure
+    their areas about the same point.
+    """
 
     pole: Optional[np.ndarray] = None
+    anchor: Optional[np.ndarray] = None
 
     @cached_property
     def diameter(self) -> float:
@@ -91,11 +92,13 @@ def spherical_diameter(points: np.ndarray) -> float:
     """Largest great-circle distance between curve samples.
 
     arccos decreases, so the farthest pair is the one with the smallest dot
-    product.  The result is exact: the same float as a scan over all pairs,
-    a lower bound on the true diameter with error O(spacing^2).  The scan is
-    pruned by blocks of ``DIAMETER_BLOCK`` consecutive samples, each with a
-    centre sample c and a radius r = max|p - c|.  For p in block I and q in
-    block J
+    product.  The samples are cut into blocks of ``DIAMETER_BLOCK``
+    consecutive samples, and the result is exact: the same float as the
+    products of every pair of blocks would give (a product of other shapes
+    may round a 3-term dot product in its last bit), a lower bound on the
+    true diameter with error O(spacing^2).  The scan is pruned by block,
+    each block with a centre sample c and a radius r = max|p - c|.  For p in
+    block I and q in block J
 
         p.q >= c_I.c_J - |c_I| r_J - |c_J| r_I - r_I r_J,
 
@@ -138,20 +141,8 @@ def spherical_area_fan(points: np.ndarray, apex: np.ndarray) -> float:
 
 
 def _front_area(points: np.ndarray, curve, period: float):
-    """Green area of front samples about the base's hemisphere witness.
-
-    Without a witness the normalized mean of the samples serves as pole;
-    the front keeps the base's witness (possibly ``None``) either way.
-    """
-    witness = getattr(curve, "pole", None)
-    pole = witness
-    if pole is None:
-        mean = points.mean(axis=0)
-        if np.linalg.norm(mean) > 1e-9:
-            pole = mean / np.linalg.norm(mean)
-    if pole is None:
-        return float("nan"), witness
-    return spherical_area_green(points, pole, period / len(points)), witness
+    """Green area of front samples about the base's anchor, which the front keeps."""
+    return spherical_area_green(points, curve.anchor, period / len(points)), curve.anchor
 
 
 SPHERE = SPACE_FORMS[SPHERICAL] = SpaceForm(
@@ -198,6 +189,10 @@ def _finish_sphere_curve(points, s, length, area_pole=None, curv_fn=None) -> Sph
         raise NotInHemisphereError(
             "no usable interior pole; pass area_pole for equator-like curves"
         )
+    # fronts measure their areas about the witness when it lies on the area
+    # pole's side, else about the area pole: for a cap larger than a
+    # hemisphere the witness is the far pole, about which the area is A - 4 pi
+    anchor = witness if witness is not None and witness @ pole > 0.0 else pole
     area = spherical_area_green(points, pole, spacing)
     fan = spherical_area_fan(points, pole)
     # polygonized fan converges O(n^-2); keep a floor so coarse grids do
@@ -220,6 +215,7 @@ def _finish_sphere_curve(points, s, length, area_pole=None, curv_fn=None) -> Sph
         w=w,
         curv_fn=curv_fn,
         pole=witness,
+        anchor=anchor,
     )
 
 

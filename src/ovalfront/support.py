@@ -166,11 +166,10 @@ def oval_from_support(
     return _support_curve(hv, hp, hpp, radius_fn)
 
 
-def ellipse_oval(a: float, b: float, n_samples: int = 1024, analytic: bool = True):
+def ellipse_oval(a: float, b: float, n_samples: int = 1024):
     """Axis-aligned ellipse with semi-axes a, b via its support function.
 
-    ``analytic=False`` drops the closed-form derivatives and exercises the
-    finite-difference path (useful for convergence studies).
+    The support derivatives are taken in closed form.
     """
     if a <= 0.0 or b <= 0.0:
         raise NonConvexError("semi-axes must be positive")
@@ -185,9 +184,7 @@ def ellipse_oval(a: float, b: float, n_samples: int = 1024, analytic: bool = Tru
         # from R = h + h'' = (ab)^2 / h^3
         return (a * b) ** 2 / h(x) ** 3 - h(x)
 
-    if analytic:
-        return oval_from_support(h, n_samples, dh=dh, d2h=d2h)
-    return oval_from_support(h, n_samples)
+    return oval_from_support(h, n_samples, dh=dh, d2h=d2h)
 
 
 def unit_circle(n_samples: int = 1024) -> SampledCurve:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .curves import (
     EUCLIDEAN,
+    LEMMA_GUARD,
     TWO_PI,
     Front,
     LemmaReport,
@@ -129,7 +130,7 @@ class CriticalFrontResult:
     count: int
 
 
-def critical_front(curve: SampledCurve, degenerate_tol: float = DEGENERATE_TOL):
+def critical_front(curve: SampledCurve):
     """Front at t* = -L/2pi, where the signed length vanishes.
 
     Cusps of this front sit exactly at the parameters where the curvature
@@ -138,7 +139,7 @@ def critical_front(curve: SampledCurve, degenerate_tol: float = DEGENERATE_TOL):
     """
     radius = 1.0 / curve.k
     rbar = curve.L / TWO_PI
-    if float(np.max(np.abs(radius - rbar))) <= degenerate_tol * rbar:
+    if float(np.max(np.abs(radius - rbar))) <= DEGENERATE_TOL * rbar:
         raise DegenerateProfileError("circle: critical front collapses to a point")
     t_star = -rbar
     front = propagate(curve, t_star)
@@ -152,13 +153,11 @@ def critical_front(curve: SampledCurve, degenerate_tol: float = DEGENERATE_TOL):
     )
 
 
-def propagation_lemma_check(
-    curve: SampledCurve, t_values: Sequence[float], guard: float = 0.05
-) -> LemmaReport:
+def propagation_lemma_check(curve: SampledCurve, t_values: Sequence[float]) -> LemmaReport:
     """Mean-curvature points stay mean-curvature points under propagation.
 
     At every parameter with k(s) = kbar, the front curvature must equal
-    kbar_t = 2 pi / (L + 2 pi t).  Times within ``guard`` of the critical
+    kbar_t = 2 pi / (L + 2 pi t).  Times within ``LEMMA_GUARD`` of the critical
     time (where kbar_t blows up) are skipped and reported as such.
     """
     profile = curvature_profile(curve)
@@ -170,7 +169,7 @@ def propagation_lemma_check(
     devs = np.full(ts.shape, np.nan)
     skipped = np.zeros(ts.shape, dtype=bool)
     for i, t in enumerate(ts):
-        if abs(1.0 + t * kbar) < guard:
+        if abs(1.0 + t * kbar) < LEMMA_GUARD:
             skipped[i] = True
             continue
         kt = k_star / (1.0 + t * k_star)

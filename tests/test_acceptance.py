@@ -262,7 +262,7 @@ def test_residuals_converge_under_grid_refinement():
             for n in grids
         ],
         "gauss-bonnet hyperbolic": [
-            ov.gauss_bonnet_residual_h(
+            ov.gauss_bonnet_residual(
                 ov.hyperbolic_curve_from_points(hyperboloid_points(n), n_samples=n))
             for n in grids
         ],

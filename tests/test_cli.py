@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, artifacts, env overrides, goldens."""
 
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -9,15 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ovalfront import cli, curves, hyperbolic, sphere
+from ovalfront import cli, curves, hyperbolic, specio, sphere
 from ovalfront.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NUMERICAL_FAILURE,
     EXIT_PASS,
     EXIT_THEOREM_FAIL,
+    MAX_SAMPLES,
+    MAX_T_VALUES,
     main,
     parse_t_spec,
 )
+from ovalfront.errors import InvalidSpecError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -79,6 +83,35 @@ def test_parse_t_spec_forms():
     assert grid == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
+def test_parse_t_spec_bounds_the_grid():
+    assert len(parse_t_spec(f"0:{MAX_T_VALUES - 1}:1")) == MAX_T_VALUES
+    for text in (f"0:{MAX_T_VALUES}:1", ",".join(["0.1"] * (MAX_T_VALUES + 1))):
+        with pytest.raises(InvalidSpecError, match="more than"):
+            parse_t_spec(text)
+
+
+COMMAND_FLAGS = {
+    "analyze": {"--input", "--out", "--samples", "--format"},
+    "propagate": {"--input", "--out", "--samples", "--t", "--format"},
+    "verify": {"--input", "--out", "--samples", "--tol", "--t"},
+    "counterexample": {"--out", "--samples", "--r", "--format"},
+    "export": {"--input", "--out", "--samples", "--format"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_the_flags_each_command_reads(capsys, command):
+    assert main([command, "--help"]) == EXIT_PASS
+    assert set(re.findall(r"--[a-z]+", capsys.readouterr().out)) == (
+        COMMAND_FLAGS[command] | {"--help"}
+    )
+
+
+def test_largest_sample_count_is_accepted():
+    args = cli.build_parser().parse_args(["counterexample", "--samples", str(MAX_SAMPLES)])
+    assert args.samples == MAX_SAMPLES
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -87,7 +120,7 @@ def test_parse_t_spec_forms():
         ["propagate", "--input", "IGNORED"],  # --t missing: checked first? no, input
         ["analyze", "--input", "SPEC", "--samples", "100"],
         ["analyze", "--input", "SPEC", "--samples", "32"],
-        ["analyze", "--input", "SPEC", "--tol", "-1"],
+        ["verify", "--input", "SPEC", "--tol", "-1"],
         ["analyze", "--input", "SPEC", "--format", "csv,pdf"],
         ["propagate", "--input", "SPEC", "--t", "abc"],
         ["propagate", "--input", "SPEC", "--t=nan"],
@@ -97,13 +130,33 @@ def test_parse_t_spec_forms():
         ["analyze", "--input", "SPEC", "--seed", "1"],  # no such flag
         ["verify", "--input", "SPEC", "--tol", "inf"],  # every check would pass
         ["verify", "--input", "SPEC", "--tol", "nan"],
+        # a flag the command does not read
+        ["verify", "--input", "SPEC", "--format", "json"],
+        ["analyze", "--input", "SPEC", "--t", "0.1"],
+        ["counterexample", "--input", "SPEC"],
+        ["export", "--input", "SPEC", "--tol", "1e-3"],
+        ["propagate", "--input", "SPEC", "--t", "0.1", "--r", "2"],
+        # sizes past the bounds
+        ["analyze", "--input", "SPEC", "--samples", str(1 << 40)],
+        ["counterexample", "--samples", str(2 * MAX_SAMPLES)],
+        ["export", "--input", "HUGE"],  # the spec's own n_samples
+        ["propagate", "--input", "SPEC", "--t=0:1e308:1e-308"],  # the count overflows
     ],
 )
-def test_input_errors_exit_2(tmp_path, argv):
+def test_input_errors_exit_2(tmp_path, monkeypatch, argv):
+    # every one is refused before a curve is built
+    monkeypatch.setattr(specio, "build_curve", _refuse)
+    monkeypatch.setattr(cli, "counterexample_verdict", _refuse)
     spec = write_spec(tmp_path, WAVY_OVAL)
-    subs = {"SPEC": spec, "IGNORED": spec, "OUT": str(tmp_path)}
-    argv = [subs.get(a, a) for a in argv]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({**WAVY_OVAL, "n_samples": 1 << 40}))
+    subs = {"SPEC": spec, "IGNORED": spec, "HUGE": str(huge), "OUT": str(tmp_path)}
+    argv = [subs.get(a, a) for a in argv] + ["--out", str(tmp_path)]
     assert main(argv) == EXIT_INPUT_ERROR
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("refused input reached a curve builder")
 
 
 @pytest.mark.parametrize(
@@ -372,6 +425,26 @@ def test_sphere_circle_verify_keeps_the_defect_check(tmp_path):
     assert checks["front_mean_curvature_lemma"]["note"] == "circle"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"rho": 1.6}, {"rho": 2.5}, {"rho": 3.0},
+     {"rho": 2.2, "harmonics": [[3, 0.04, 0.4], [2, 0.03, 1.1]]}],
+    ids=["1.6", "2.5", "3.0", "perturbed-2.2"],
+)
+def test_verify_sphere_caps_larger_than_a_hemisphere(tmp_path, doc):
+    # the hemisphere witness of such a cap is the south pole; the fronts were
+    # once measured about it, 4 pi off the base area, and failed the defect check
+    spec = write_spec(tmp_path, {"geometry": "spherical", "representation": "perturbed_circle",
+                                 **doc})
+    code = main(["verify", "--input", spec, "--out", str(tmp_path)])
+    report = read_report(tmp_path, "verify_report.json")
+    assert code == EXIT_PASS, report["checks"]
+    checks = {c["name"]: c["passed"] for c in report["checks"]}
+    assert checks["defect_invariance"] is True
+    # a circle has no attainment set, so its lemma check is skipped
+    assert checks["front_mean_curvature_lemma"] is (True if "harmonics" in doc else None)
+
+
 def test_hyperbolic_circle_verify_on_a_fine_grid(tmp_path):
     # the collapse front's factor is roundoff here; its sampled sign flips
     # once sent brentq brackets without a sign change
@@ -490,8 +563,8 @@ def test_counterexample_curve_matches_golden(tmp_path):
 )
 def test_report_matches_golden(tmp_path, command, spec):
     # every check's verdict and figures, and the attainment set, byte for byte
-    main([command, "--input", str(GOLDEN / f"{spec}_spec.json"),
-          "--out", str(tmp_path), "--format", "json"])
+    formats = ["--format", "json"] if command == "analyze" else []  # verify writes only JSON
+    main([command, "--input", str(GOLDEN / f"{spec}_spec.json"), "--out", str(tmp_path), *formats])
     assert (tmp_path / f"{command}_report.json").read_bytes() == (
         GOLDEN / f"{command}_{spec}.json"
     ).read_bytes()

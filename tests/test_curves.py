@@ -35,7 +35,6 @@ from ovalfront.curves import (
     space_form,
     unit_speed_curvature,
 )
-from ovalfront.errors import NonUniformGridError
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,11 +72,11 @@ def test_count_mean_crossings_reports_touches_separately():
     # grazes its mean (0) at the minimum of 1 - cos: tangential, not a crossing
     values = 1.0 - np.cos(x) - 0.0
     prof = CurvatureProfile(values=values - 1.0, mean=0.0, param=x, period=TWO_PI)
-    rep = count_mean_crossings(prof, tol=1e-6)
+    rep = count_mean_crossings(prof)
     assert rep.count == 2  # 1 - cos(x) - 1 = -cos(x): two transversal roots
     values2 = np.cos(x) ** 2  # touches 0 twice, never negative
     prof2 = CurvatureProfile(values=values2, mean=0.0, param=x, period=TWO_PI)
-    rep2 = count_mean_crossings(prof2, tol=1e-6)
+    rep2 = count_mean_crossings(prof2)
     assert rep2.count == 0
     assert len(rep2.touches) == 2
 

@@ -12,7 +12,6 @@ from ovalfront import (
     spectrum,
     verify_sturm_hurwitz,
 )
-from ovalfront.errors import NonUniformGridError
 
 TWO_PI = 2.0 * np.pi
 
@@ -31,13 +30,6 @@ def test_spectrum_recovers_planted_coefficients():
     others = spec.amplitudes.copy()
     others[[0, 3, 5]] = 0.0
     assert np.max(others) < 1e-12
-
-
-def test_spectrum_validates_uniform_param():
-    x = _grid(64).copy()
-    x[10] += 0.01
-    with pytest.raises(NonUniformGridError):
-        spectrum(np.sin(x), param=x)
 
 
 @given(

@@ -13,14 +13,13 @@ from ovalfront import (
     NotHorocyclicallyConvexError,
     RoundedSemicircleSpec,
     build_rounded_semicircle,
-    check_horocyclic_convexity,
     classify_curvature,
     collapse_front,
     counterexample_threshold,
     counterexample_verdict,
     curvature_profile,
     defect_value,
-    gauss_bonnet_residual_h,
+    gauss_bonnet_residual,
     geodesic_curvature_h,
     hyperbolic_area_green,
     hyperbolic_circle,
@@ -76,14 +75,14 @@ def test_circle_length_and_area():
 
 
 def test_circle_is_horocyclically_convex():
-    report = check_horocyclic_convexity(hyperbolic_circle(1.0))
-    assert report.horocyclic_convex
-    assert report.min_k == pytest.approx(COTH_1, abs=1e-8)
+    circle = hyperbolic_circle(1.0)
+    assert circle.horocyclic_convex
+    assert circle.min_k == pytest.approx(COTH_1, abs=1e-8)
 
 
 def test_gauss_bonnet_residual(wavy):
     assert wavy.gb_residual < 1e-8
-    assert gauss_bonnet_residual_h(wavy) == pytest.approx(wavy.gb_residual, abs=1e-12)
+    assert gauss_bonnet_residual(wavy) == pytest.approx(wavy.gb_residual, abs=1e-12)
 
 
 def test_area_green_matches_stored(wavy):
