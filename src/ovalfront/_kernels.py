@@ -44,19 +44,21 @@ def trig_eval(cos_amps, sin_amps, x, deriv=0):
 
 
 def periodic_deriv(values, order, spacing):
-    """Differentiate uniformly spaced periodic samples.
+    """Differentiate uniformly spaced periodic samples, (n,) or (n, d).
 
-    Central finite differences of stencil order 4, wrapped cyclically.
-    ``order`` selects the first, second or third derivative.
+    Central finite differences of stencil order 4, wrapped cyclically along
+    the first axis, so each column of an (n, d) block gets exactly what
+    the 1-d call on it returns.  ``order`` selects the first, second or
+    third derivative.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("values must be 1-d")
+    if v.ndim not in (1, 2):
+        raise ValueError("values must be 1-d or 2-d")
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
 
     def r(k):
-        return np.roll(v, -k)  # r(k)[i] == v[i + k]
+        return np.roll(v, -k, axis=0)  # r(k)[i] == v[i + k]
 
     if order == 1:
         return (r(-2) - 8.0 * r(-1) + 8.0 * r(1) - r(2)) / (12.0 * spacing)

@@ -437,12 +437,6 @@ def parametric_area(points: np.ndarray, period: float) -> np.ndarray:
 # curvature of unit-speed samples
 
 
-def _column_deriv(points: np.ndarray, order: int, spacing: float) -> np.ndarray:
-    return np.column_stack(
-        [kernels.periodic_deriv(points[:, j], order, spacing) for j in range(points.shape[1])]
-    )
-
-
 def check_unit_speed(points: np.ndarray, spacing: float, form: SpaceForm,
                      speed: np.ndarray) -> None:
     """Raise :class:`BadParametrizationError` unless the samples have speed 1.
@@ -479,10 +473,10 @@ def unit_speed_curvature(points: np.ndarray, spacing: float, form: SpaceForm):
     differences.  Raises :class:`BadParametrizationError` when the speed
     fails :func:`check_unit_speed`.
     """
-    d1 = _column_deriv(points, 1, spacing)
+    d1 = kernels.periodic_deriv(points, 1, spacing)
     speed = form.norm(d1)
     check_unit_speed(points, spacing, form, speed)
-    d2 = _column_deriv(points, 2, spacing)
+    d2 = kernels.periodic_deriv(points, 2, spacing)
     k = _triple(form, points, d1, d2) / speed**3
     nu = form.cross(d1, points)
     return k, nu / form.norm(nu)[:, None], d1
@@ -496,10 +490,10 @@ def unit_speed_curvature(points: np.ndarray, spacing: float, form: SpaceForm):
 class Front:
     """Equidistant front at signed distance t, parametrized like its base.
 
-    ``k`` and ``normal`` are measured on the front samples (NaN at cusp
-    samples) in the curved geometries; plane fronts leave them ``None``.
-    Fronts of curved geometries carry what a curve needs to be propagated
-    again.
+    In the curved geometries :attr:`k` and :attr:`normal` are measured on
+    the front samples on first read and kept, with NaN at cusp samples;
+    plane fronts leave them ``None``.  Fronts of curved geometries carry
+    what a curve needs to be propagated again.
     """
 
     base: object
@@ -514,8 +508,6 @@ class Front:
     param: np.ndarray
     s: np.ndarray
     period: float
-    k: Optional[np.ndarray] = None
-    normal: Optional[np.ndarray] = None
     anchor: Optional[np.ndarray] = None  # area pole (sphere) or centre (hyperboloid)
 
     @property
@@ -535,18 +527,40 @@ class Front:
     def center(self) -> Optional[np.ndarray]:
         return self.anchor
 
+    @property
+    def _spacing(self) -> float:
+        return self.period / len(self.points)
 
-def _measured_curvature(form: SpaceForm, points: np.ndarray, spacing: float):
-    """Curvature and outward conormal of front samples; NaN at cusp samples."""
-    d1 = _column_deriv(points, 1, spacing)
-    d2 = _column_deriv(points, 2, spacing)
-    speed = form.norm(d1)
-    ok = speed > CUSP_SPEED_GUARD
-    k = np.full(len(points), np.nan)
-    normal = np.full_like(points, np.nan)
-    k[ok] = _triple(form, points[ok], d1[ok], d2[ok]) / speed[ok] ** 3
-    normal[ok] = form.cross(d1[ok] / speed[ok, None], points[ok])
-    return k, normal
+    @cached_property
+    def _stencil(self):
+        """x', |x'| and the regular-sample mask, shared by :attr:`k` and :attr:`normal`.
+
+        A sample is a cusp sample, not regular, where |x'| <= ``CUSP_SPEED_GUARD``.
+        """
+        d1 = kernels.periodic_deriv(self.points, 1, self._spacing)
+        speed = space_form(self.geometry).norm(d1)
+        return d1, speed, speed > CUSP_SPEED_GUARD
+
+    @cached_property
+    def k(self) -> Optional[np.ndarray]:
+        """Measured curvature det[x, x', x'']/|x'|^3; NaN at cusp samples."""
+        if self.geometry == EUCLIDEAN:
+            return None
+        d1, speed, regular = self._stencil
+        d2 = kernels.periodic_deriv(self.points, 2, self._spacing)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            k = _triple(space_form(self.geometry), self.points, d1, d2) / speed**3
+        return np.where(regular, k, np.nan)
+
+    @cached_property
+    def normal(self) -> Optional[np.ndarray]:
+        """Measured outward conormal (x'/|x'|) x n; NaN at cusp samples."""
+        if self.geometry == EUCLIDEAN:
+            return None
+        d1, speed, regular = self._stencil
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            normal = space_form(self.geometry).cross(d1 / speed[:, None], self.points)
+        return np.where(regular[:, None], normal, np.nan)
 
 
 def propagate_front(curve, t: float) -> Front:
@@ -570,9 +584,6 @@ def propagate_front(curve, t: float) -> Front:
 
             cusps = np.sort(_bracketed_roots(g, pairs, param, period))
     area, anchor = form.front_area(points, curve, period)
-    k = normal = None
-    if form.K != 0:
-        k, normal = _measured_curvature(form, points, period / len(points))
     return Front(
         base=curve,
         t=float(t),
@@ -586,8 +597,6 @@ def propagate_front(curve, t: float) -> Front:
         param=param,
         s=np.asarray(curve.s, dtype=float),
         period=period,
-        k=k,
-        normal=normal,
         anchor=anchor,
     )
 
@@ -640,7 +649,7 @@ def sweep_fronts(curve: SampledCurve, fronts: Iterable[Front]):
             continue
         kfn = periodic_interpolant(front.s, front.k, front.period)
         kbar_t = (TWO_PI - K * front.area) / front.signed_length
-        vals = np.array([eval_scalar(kfn, p) for p in stars])
+        vals = np.asarray(kfn(stars), dtype=float)
         devs.append(float(np.max(np.abs(vals - kbar_t))))
     if stars is None:
         return defects, None

@@ -257,10 +257,11 @@ def propagate_hyperbolic(curve, t: float, force: bool = False) -> Front:
 
 def _refuse_past_cusp_onset(curve, t: float) -> None:
     k = np.asarray(curve.k, dtype=float)
-    if not np.min(k) > 1.0 + HOROCYCLIC_MARGIN and t < _first_cusp_time(k):
+    onset = _first_cusp_time(k)
+    if not np.min(k) > 1.0 + HOROCYCLIC_MARGIN and t < onset:
         raise NotHorocyclicallyConvexError(
-            "negative-time propagation past cusp onset needs a horocyclically "
-            "convex curve (or force=True)"
+            f"t = {t:.6g} lies past the first cusp onset at t = {onset:.6g}; "
+            "negative-time propagation beyond it needs a horocyclically convex curve"
         )
 
 
@@ -295,6 +296,8 @@ def collapse_front(curve: HyperbolicCurve, force: bool = False) -> CollapseRepor
     k equals the mean curvature; closed convex curves with k > 1 have at
     least four.  The report counts the front's own cusps.  Circles (a
     degenerate curvature profile) collapse to a point and report degenerate.
+    A curve that is not horocyclically convex is refused unless ``force``,
+    which also lifts :func:`propagate_hyperbolic`'s cusp-onset guard.
     """
     if not curve.horocyclic_convex and not force:
         raise NotHorocyclicallyConvexError(

@@ -29,7 +29,6 @@ from .curves import (
     Front,
     SampledCurve,
     SpaceForm,
-    _column_deriv,
     count_mean_crossings,
     euclidean_dot,
     harmonic_radius,
@@ -429,9 +428,9 @@ def total_torsion(curve: SphereCurve) -> TorsionReport:
     eps/h^3.  Right-handed Frenet convention.
     """
     spacing = curve.L / curve.n_samples
-    d1 = _column_deriv(curve.points, 1, spacing)
-    d2 = _column_deriv(curve.points, 2, spacing)
-    d3 = _column_deriv(curve.points, 3, spacing)
+    d1 = kernels.periodic_deriv(curve.points, 1, spacing)
+    d2 = kernels.periodic_deriv(curve.points, 2, spacing)
+    d3 = kernels.periodic_deriv(curve.points, 3, spacing)
     speed = np.linalg.norm(d1, axis=1)
     if float(np.max(np.abs(speed - 1.0))) > SPEED_TOL:
         raise BadParametrizationError("torsion needs unit-speed samples")

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ovalfront import _kernels as kernels
 from ovalfront import cli, curves, hyperbolic, specio, sphere
 from ovalfront.cli import (
     EXIT_INPUT_ERROR,
@@ -36,6 +37,8 @@ WAVY_SPHERE = {
     "rho": 0.7,
     "harmonics": [[3, 0.04, 0.4], [2, 0.03, 1.1]],
 }
+# convex, so verify also builds the equatorial front
+CONVEX_SPHERE = {**WAVY_SPHERE, "harmonics": [[3, 0.01, 0.4], [2, 0.03, 1.1]]}
 WAVY_HYPERBOLIC = {
     "geometry": "hyperbolic",
     "representation": "hyperbolic_circle",
@@ -345,6 +348,22 @@ def test_verify_semicircle_voids_four_point_guarantee(tmp_path):
     assert by_name["mean_attainment"]["attainment_count"] == 2
 
 
+def test_propagate_past_cusp_onset_names_the_onset_time(tmp_path, capsys):
+    # the refusal names where cusps start, not a library keyword the CLI lacks
+    spec = write_spec(tmp_path, {"geometry": "hyperbolic",
+                                 "representation": "rounded_semicircle",
+                                 "r": 2.0, "n_samples": 1024})
+    code = main(["propagate", "--input", spec, "--t=-0.2:0.4:0.1", "--out", str(tmp_path)])
+    assert code == EXIT_INPUT_ERROR == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "force" not in err
+    onset = float(re.search(r"first cusp onset at t = (\S+);", err).group(1))
+    curve = hyperbolic.build_rounded_semicircle(hyperbolic.RoundedSemicircleSpec(r=2.0, n_samples=1024))
+    assert onset == pytest.approx(-np.arctanh(1.0 / np.max(curve.k)), rel=1e-5)
+    assert -0.2 < onset < 0.0
+
+
 # ---------------------------------------------------------------------------
 # counterexample
 
@@ -412,6 +431,44 @@ def test_curved_verify_builds_one_front_per_t(tmp_path, monkeypatch, doc):
     assert len(grid) == 11
     # the semigroup times are not on the grid, though one is within 2e-16 of it
     assert sorted(t for t in times if t in grid) == grid
+
+
+@pytest.mark.parametrize(
+    "doc, semigroup_a, k_fronts",
+    [(CONVEX_SPHERE, 0.13, 13), (WAVY_HYPERBOLIC, 0.11, 12)],
+    ids=["spherical", "hyperbolic"],
+)
+def test_curved_verify_measures_only_the_fronts_it_reads(tmp_path, monkeypatch, doc,
+                                                         semigroup_a, k_fronts):
+    # of the 15 fronts, the lemma fronts, the inner semigroup front and the
+    # sphere's equatorial front read k; only the inner semigroup front reads
+    # the conormal; each differentiates its samples once per stencil order
+    fronts = []
+    propagate_front = curves.propagate_front
+
+    def keeping(curve, t):
+        fronts.append(propagate_front(curve, t))
+        return fronts[-1]
+
+    for module in (curves, sphere, hyperbolic):
+        monkeypatch.setattr(module, "propagate_front", keeping)
+    orders = []
+    periodic_deriv = kernels.periodic_deriv
+
+    def counting(values, order, spacing):
+        if any(values is front.points for front in fronts):
+            orders.append(order)
+        return periodic_deriv(values, order, spacing)
+
+    monkeypatch.setattr(kernels, "periodic_deriv", counting)
+    code = main(["verify", "--input", write_spec(tmp_path, doc), "--out", str(tmp_path),
+                 "--samples", "1024"])
+    assert code == EXIT_PASS
+    assert len(fronts) == 15
+    assert sorted(orders) == [1] * k_fronts + [2] * k_fronts
+    assert sum("k" in vars(front) for front in fronts) == k_fronts
+    [reads_normal] = [front for front in fronts if "normal" in vars(front)]
+    assert reads_normal.t == semigroup_a and not isinstance(reads_normal.base, curves.Front)
 
 
 def test_sphere_circle_verify_keeps_the_defect_check(tmp_path):

@@ -1,5 +1,8 @@
 """Curve containers, profiles, crossing counts, resampling utilities."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,19 +13,25 @@ from ovalfront import (
     BadParametrizationError,
     DegenerateProfileError,
     SampledCurve,
+    collapse_front,
     count_mean_crossings,
     curvature_profile,
     ellipse_oval,
     hyperbolic_circle,
+    perturbed_hyperbolic_circle,
+    perturbed_sphere_circle,
+    propagate,
     sphere_circle,
     total_torsion,
     unit_circle,
 )
+from ovalfront._kernels import periodic_deriv
 from ovalfront.curves import (
+    CUSP_SPEED_GUARD,
     PLANE,
     SPEED_TOL,
     _bracketed_roots,
-    _column_deriv,
+    _triple,
     arclength_resample,
     average_curvature,
     closed_spline_through,
@@ -31,6 +40,7 @@ from ovalfront.curves import (
     fourier_antiderivative,
     parametric_area,
     periodic_interpolant,
+    propagate_front,
     radius_profile,
     space_form,
     unit_speed_curvature,
@@ -152,8 +162,6 @@ def test_arclength_resample_equalizes_speed():
 
     pts, s, total, params = arclength_resample(point_fn, 512, speed_fn)
     assert total == pytest.approx(9.688448220547676, rel=1e-9)
-    from ovalfront._kernels import periodic_deriv
-
     spacing = total / len(pts)
     d1 = np.column_stack(
         [periodic_deriv(pts[:, j], 1, spacing) for j in range(2)]
@@ -211,7 +219,7 @@ def test_ellipse_scaling_properties(a, b):
 def test_curved_gate_bounds_curvature_error_on_coarse_grids(build, k_exact):
     # at n = 32 the stencil speed is off by ~5e-5 but the grid is unit-speed
     curve = build(0.8, n_samples=32)
-    d1 = _column_deriv(curve.points, 1, curve.L / curve.n_samples)
+    d1 = periodic_deriv(curve.points, 1, curve.L / curve.n_samples)
     stencil_err = float(np.max(np.abs(space_form(curve.geometry).norm(d1) - 1.0)))
     assert stencil_err > 10 * SPEED_TOL
     # the curvature carries the stencil's error: 5/3 of its speed error
@@ -226,3 +234,68 @@ def test_plane_and_torsion_gates_use_the_stencil_speed():
         unit_speed_curvature(circle, TWO_PI / n, PLANE)
     with pytest.raises(BadParametrizationError):
         total_torsion(sphere_circle(0.8, n_samples=n))
+
+
+# ---------------------------------------------------------------------------
+# measured front curvature and conormal
+
+
+def masked_front_measurement(front):
+    """Front k and conormal as fronts measured them eagerly: through the cusp mask."""
+    form = space_form(front.geometry)
+    points = front.points
+    spacing = front.period / len(points)
+    d1, d2 = (
+        np.column_stack([periodic_deriv(points[:, j], order, spacing) for j in range(3)])
+        for order in (1, 2)
+    )
+    speed = form.norm(d1)
+    ok = speed > CUSP_SPEED_GUARD
+    k = np.full(len(points), np.nan)
+    normal = np.full_like(points, np.nan)
+    k[ok] = _triple(form, points[ok], d1[ok], d2[ok]) / speed[ok] ** 3
+    normal[ok] = form.cross(d1[ok] / speed[ok, None], points[ok])
+    return k, normal
+
+
+def _past_first_cusp(curve):
+    # cos t + sin t k changes sign on the curve: the front has cusps
+    front = propagate_front(curve, -float(np.arctan(2.0 / (curve.k.min() + curve.k.max()))))
+    assert front.cusps.size >= 2
+    return front
+
+
+def _collapsed_run(front):
+    # twenty samples pinned to one point: zero stencil speed inside the run
+    points = front.points.copy()
+    points[40:60] = points[50]
+    return replace(front, points=points)
+
+
+@pytest.mark.parametrize(
+    "make_front, cusp_samples",
+    [
+        (lambda: collapse_front(perturbed_hyperbolic_circle(1.1, [[2, 0.04, 0.3]], 1024)).front,
+         0),
+        (lambda: _past_first_cusp(perturbed_sphere_circle(0.7, [[3, 0.01, 0.4]], 1024)), 0),
+        (lambda: collapse_front(hyperbolic_circle(0.8, n_samples=256)).front, 256),
+        (lambda: _collapsed_run(propagate_front(sphere_circle(0.6, n_samples=256), 0.2)), 16),
+    ],
+    ids=["hyperbolic-collapse", "sphere-past-cusp", "circle-collapse", "pinned-run"],
+)
+def test_front_measures_k_and_normal_like_the_masked_formula(make_front, cusp_samples):
+    front = make_front()
+    assert "k" not in vars(front) and "normal" not in vars(front)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k, normal = front.k, front.normal
+    want_k, want_normal = masked_front_measurement(front)
+    assert k.tobytes() == want_k.tobytes()
+    assert normal.tobytes() == want_normal.tobytes()
+    assert np.count_nonzero(np.isnan(k)) == cusp_samples
+    assert front.k is k and front.normal is normal
+
+
+def test_plane_fronts_measure_nothing():
+    front = propagate(unit_circle(n_samples=64), 0.3)
+    assert front.k is None and front.normal is None

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ovalfront._kernels import BACKEND, periodic_deriv, transitions, trig_eval
 
@@ -76,6 +79,25 @@ def test_periodic_deriv_validates_arguments():
         periodic_deriv(np.zeros(8), 4, 0.1)
     with pytest.raises(ValueError):
         periodic_deriv(np.zeros(8), 1, 0.0)
+    with pytest.raises(ValueError, match="1-d or 2-d"):
+        periodic_deriv(np.zeros((8, 3, 2)), 1, 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    block=hnp.arrays(
+        float,
+        st.tuples(st.integers(1, 40), st.integers(1, 3)),
+        elements=st.floats(-1e6, 1e6, allow_nan=False),
+    ),
+    order=st.integers(1, 3),
+    spacing=st.floats(1e-3, 10.0),
+)
+def test_periodic_deriv_block_matches_columns_bitwise(block, order, spacing):
+    got = periodic_deriv(block, order, spacing)
+    for j in range(block.shape[1]):
+        column = periodic_deriv(block[:, j], order, spacing)
+        assert got[:, j].tobytes() == column.tobytes()
 
 
 # ---------------------------------------------------------------------------
