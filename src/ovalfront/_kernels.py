@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["trig_eval", "periodic_deriv", "transitions", "BACKEND"]
+__all__ = ["trig_eval", "trig_series", "periodic_deriv", "transitions", "BACKEND"]
 
 # the one implementation; reported as ``ovalfront.kernel_backend``
 BACKEND = "reference"
@@ -28,19 +28,41 @@ def trig_eval(cos_amps, sin_amps, x, deriv=0):
     -------
     ndarray of the same length as ``x``.
     """
+    return trig_series(cos_amps, sin_amps, (deriv,))(x)
+
+
+def trig_series(cos_amps, sin_amps, derivs):
+    """The sum of several derivatives of a trigonometric polynomial, as a callable.
+
+    The harmonic index and the scaled coefficient vectors of each order in
+    ``derivs`` are prepared once; each call forms the outer product n x
+    once and adds the terms in the order given, so
+    ``trig_series(a, b, (0, 2))(x)`` equals
+    ``trig_eval(a, b, x, 0) + trig_eval(a, b, x, 2)`` bit for bit.
+    """
     a = np.asarray(cos_amps, dtype=float)
     b = np.asarray(sin_amps, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("coefficient arrays must be 1-d and equally long")
-    if deriv < 0:
-        raise ValueError("deriv must be non-negative")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     n = np.arange(a.size, dtype=float)
-    # d^p/dx^p cos(nx) = n^p cos(nx + p pi/2), likewise for sin
-    shift = deriv * 0.5 * np.pi
-    nx = np.multiply.outer(x, n)
-    scale = n**deriv if deriv else np.ones_like(n)
-    return np.cos(nx + shift) @ (scale * a) + np.sin(nx + shift) @ (scale * b)
+    terms = []
+    for deriv in derivs:
+        if deriv < 0:
+            raise ValueError("deriv must be non-negative")
+        # d^p/dx^p cos(nx) = n^p cos(nx + p pi/2), likewise for sin
+        scale = n**deriv if deriv else np.ones_like(n)
+        terms.append((deriv * 0.5 * np.pi, scale * a, scale * b))
+
+    def series(x):
+        nx = np.array(x, dtype=float, ndmin=1)[..., None] * n
+        total = None
+        for shift, ca, sb in terms:
+            phase = nx + shift
+            term = np.cos(phase) @ ca + np.sin(phase) @ sb
+            total = term if total is None else total + term
+        return total
+
+    return series
 
 
 def periodic_deriv(values, order, spacing):

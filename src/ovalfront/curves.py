@@ -80,8 +80,8 @@ class SampledCurve:
     radius_fn : callable, optional
         Curvature radius ``R(param)`` (Euclidean support builds only).
 
-    :attr:`profile` is computed on first read and kept, so the arrays must
-    not be mutated once the curve is built.
+    :attr:`profile` and :attr:`curvature_fn` are computed on first read and
+    kept, so the arrays must not be mutated once the curve is built.
     """
 
     geometry: str
@@ -130,9 +130,16 @@ class SampledCurve:
             mean=average_curvature(self),
             param=np.asarray(_param(self), dtype=float),
             period=self.period,
-            fn=self.curv_fn,
+            fn=self.curvature_fn,
         )
         return replace(profile, crossing_params=count_mean_crossings(profile).crossings)
+
+    @cached_property
+    def curvature_fn(self) -> Callable:
+        """``k(param)``: :attr:`curv_fn` when known, else a periodic spline built once."""
+        if self.curv_fn is not None:
+            return self.curv_fn
+        return periodic_interpolant(_param(self), np.asarray(self.k), float(self.period))
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +154,10 @@ class SpaceForm:
     product over the last axis (Minkowski on the hyperboloid); ``cross(v,
     x)`` turns a tangent v at x into the outward conormal direction, v x n
     with n the surface normal at x (x itself on the sphere and hyperboloid,
-    e_z for the plane at z = 1).  ``front_area(points, curve, period)``
-    returns the enclosed area of front samples and the area anchor (pole or
-    centre) the front keeps for its own fronts.  ``polar(r, phi)`` is the
+    e_z for the plane at z = 1).  ``front_anchor(points, curve)`` is the
+    area anchor (pole or centre) a front of ``curve`` takes from it and keeps
+    for its own fronts; ``front_area(points, anchor, period)`` is the
+    enclosed area of front samples about it.  ``polar(r, phi)`` is the
     point at distance r and angle phi from the model's centre (the north
     pole, the hyperboloid vertex); the plane builds no polar curves.
     """
@@ -160,6 +168,7 @@ class SpaceForm:
     s: Callable[[float], float]
     dot: Callable
     cross: Callable
+    front_anchor: Callable
     front_area: Callable
     polar: Optional[Callable] = None
 
@@ -218,7 +227,8 @@ PLANE = SpaceForm(
     s=lambda t: t,
     dot=euclidean_dot,
     cross=lambda v, x: np.column_stack([v[:, 1], -v[:, 0]]),
-    front_area=lambda points, curve, period: (parametric_area(points, period), None),
+    front_anchor=lambda points, curve: None,
+    front_area=lambda points, anchor, period: parametric_area(points, period),
 )
 
 # geometry tag -> SpaceForm; sphere.py and hyperbolic.py add K = +1 and -1
@@ -383,23 +393,24 @@ def _param(curve) -> np.ndarray:
     return np.asarray(curve.param if curve.param is not None else curve.s)
 
 
-def _curvature_callable(curve):
-    """``k(param)``: the analytic curvature when known, else a periodic spline."""
-    if getattr(curve, "curv_fn", None) is not None:
-        return curve.curv_fn
-    return periodic_interpolant(_param(curve), np.asarray(curve.k), float(curve.period))
-
-
 # ---------------------------------------------------------------------------
 # spectral helpers on uniform periodic grids
 
 
 def fft_deriv(values: np.ndarray, period: float = TWO_PI) -> np.ndarray:
-    """Spectral derivative of uniformly spaced periodic samples."""
+    """Spectral derivative of uniformly spaced periodic samples, (n,) or (n, d).
+
+    One rfft/irfft pair along the first axis; each column of an (n, d)
+    block gets exactly what the 1-d call on it returns.
+    """
     v = np.asarray(values, dtype=float)
-    coeff = np.fft.rfft(v)
-    freq = 2j * np.pi * np.arange(coeff.size) / period
-    return np.fft.irfft(coeff * freq, v.size)
+    if v.ndim not in (1, 2):
+        raise ValueError("values must be 1-d or 2-d")
+    coeff = np.fft.rfft(v, axis=0)
+    freq = 2j * np.pi * np.arange(len(coeff)) / period
+    if v.ndim == 2:
+        freq = freq[:, None]
+    return np.fft.irfft(coeff * freq, len(v), axis=0)
 
 
 def fourier_antiderivative(values: np.ndarray, period: float = TWO_PI) -> np.ndarray:
@@ -428,9 +439,8 @@ def parametric_area(points: np.ndarray, period: float) -> np.ndarray:
     """
     x = points[:, 0]
     y = points[:, 1]
-    dx = fft_deriv(x, period)
-    dy = fft_deriv(y, period)
-    return 0.5 * float(np.mean(x * dy - y * dx)) * period
+    d = fft_deriv(points, period)
+    return 0.5 * float(np.mean(x * d[:, 1] - y * d[:, 0])) * period
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +463,7 @@ def check_unit_speed(points: np.ndarray, spacing: float, form: SpaceForm,
     err = float(np.max(np.abs(speed - 1.0)))
     if err > SPEED_TOL and form.K != 0:
         period = spacing * len(points)
-        d1 = np.column_stack([fft_deriv(points[:, j], period) for j in range(points.shape[1])])
-        err = min(err, float(np.max(np.abs(form.norm(d1) - 1.0))))
+        err = min(err, float(np.max(np.abs(form.norm(fft_deriv(points, period)) - 1.0))))
     if not err <= SPEED_TOL:
         raise BadParametrizationError(f"speed deviates from 1 by {err:.3g}")
 
@@ -490,10 +499,12 @@ def unit_speed_curvature(points: np.ndarray, spacing: float, form: SpaceForm):
 class Front:
     """Equidistant front at signed distance t, parametrized like its base.
 
-    In the curved geometries :attr:`k` and :attr:`normal` are measured on
-    the front samples on first read and kept, with NaN at cusp samples;
-    plane fronts leave them ``None``.  Fronts of curved geometries carry
-    what a curve needs to be propagated again.
+    :attr:`area`, :attr:`cusps`, :attr:`regularity` and
+    :attr:`curvature_fn` are computed on first read and kept.  In the
+    curved geometries so are :attr:`k` and :attr:`normal`, measured on the
+    front samples with NaN at cusp samples; plane fronts leave them
+    ``None``.  Fronts of curved geometries carry what a curve needs to be
+    propagated again.
     """
 
     base: object
@@ -501,10 +512,7 @@ class Front:
     geometry: str
     points: np.ndarray
     factor: np.ndarray  # c_K + s_K k_base
-    regularity: np.ndarray  # sign of the factor per sample
-    cusps: np.ndarray  # refined parameter values where the factor vanishes
     signed_length: float
-    area: float
     param: np.ndarray
     s: np.ndarray
     period: float
@@ -530,6 +538,38 @@ class Front:
     @property
     def _spacing(self) -> float:
         return self.period / len(self.points)
+
+    @cached_property
+    def area(self) -> float:
+        """Enclosed (signed) area of the front samples about :attr:`anchor`."""
+        return space_form(self.geometry).front_area(self.points, self.anchor, self.period)
+
+    @cached_property
+    def regularity(self) -> np.ndarray:
+        """Sign of the factor per sample."""
+        return np.sign(self.factor).astype(np.int8)
+
+    @cached_property
+    def cusps(self) -> np.ndarray:
+        """Refined parameter values where the factor vanishes, sorted."""
+        if self.t == 0.0:
+            return np.empty(0)
+        pairs, _ = kernels.transitions(self.factor, 0.0)
+        if not len(pairs):
+            return np.empty(0)
+        form = space_form(self.geometry)
+        c, s = form.c(self.t), form.s(self.t)
+        kfn = self.base.curvature_fn
+
+        def g(x):
+            return c + s * eval_scalar(kfn, x)
+
+        return np.sort(_bracketed_roots(g, pairs, self.param, self.period))
+
+    @cached_property
+    def curvature_fn(self) -> Callable:
+        """``k(param)`` as a periodic spline through the measured :attr:`k`."""
+        return periodic_interpolant(self.param, np.asarray(self.k), float(self.period))
 
     @cached_property
     def _stencil(self):
@@ -564,40 +604,29 @@ class Front:
 
 
 def propagate_front(curve, t: float) -> Front:
-    """Front of a curve (or of a front) at signed distance t along its conormals."""
+    """Front of a curve (or of a front) at signed distance t along its conormals.
+
+    Only the points, the factor and the signed length are computed here;
+    the rest of the :class:`Front` is measured when read.
+    """
     form = space_form(curve.geometry)
     w = curve.w
     if curve.normal is None or w is None:
         raise ValueError("curve lacks normal/quadrature data")
-    param, period = _param(curve), float(curve.period)
     c, s = form.c(t), form.s(t)
     factor = c + s * np.asarray(curve.k, dtype=float)
     points = c * curve.points + s * curve.normal
-    cusps = np.empty(0)
-    if t != 0.0:
-        pairs, _ = kernels.transitions(factor, 0.0)
-        if len(pairs):
-            kfn = _curvature_callable(curve)
-
-            def g(x):
-                return c + s * eval_scalar(kfn, x)
-
-            cusps = np.sort(_bracketed_roots(g, pairs, param, period))
-    area, anchor = form.front_area(points, curve, period)
     return Front(
         base=curve,
         t=float(t),
         geometry=form.geometry,
         points=points,
         factor=factor,
-        regularity=np.sign(factor).astype(np.int8),
-        cusps=cusps,
         signed_length=float(np.sum(factor * np.asarray(w, dtype=float))),
-        area=area,
-        param=param,
+        param=_param(curve),
         s=np.asarray(curve.s, dtype=float),
-        period=period,
-        anchor=anchor,
+        period=float(curve.period),
+        anchor=form.front_anchor(points, curve),
     )
 
 

@@ -141,13 +141,17 @@ def hyperbolic_area_green(points: np.ndarray, center: np.ndarray, spacing: float
     return HYPERBOLOID.green_area(points, center, spacing)
 
 
-def _front_area(points: np.ndarray, curve, period: float):
-    """Green area of front samples about the base's centre (else their mean)."""
+def _front_anchor(points: np.ndarray, curve) -> np.ndarray:
+    """The base's centre, else the mean of the front samples."""
     center = getattr(curve, "center", None)
     if center is None:
         center = normalize_timelike(points.mean(axis=0))
-    area = hyperbolic_area_green(points, center, period / len(points))
-    return area, np.asarray(center, dtype=float)
+    return np.asarray(center, dtype=float)
+
+
+def _front_area(points: np.ndarray, center: np.ndarray, period: float) -> float:
+    """Green area of front samples about the centre the front keeps."""
+    return hyperbolic_area_green(points, center, period / len(points))
 
 
 HYPERBOLOID = SPACE_FORMS[HYPERBOLIC] = SpaceForm(
@@ -157,6 +161,7 @@ HYPERBOLOID = SPACE_FORMS[HYPERBOLIC] = SpaceForm(
     s=np.sinh,
     dot=mdot,
     cross=mcross,
+    front_anchor=_front_anchor,
     front_area=_front_area,
     polar=lambda r, phi: np.column_stack(
         [np.cosh(r), np.sinh(r) * np.cos(phi), np.sinh(r) * np.sin(phi)]

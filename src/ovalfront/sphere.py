@@ -139,9 +139,9 @@ def spherical_area_fan(points: np.ndarray, apex: np.ndarray) -> float:
     return float(np.sum(2.0 * np.arctan2(num, den)))
 
 
-def _front_area(points: np.ndarray, curve, period: float):
-    """Green area of front samples about the base's anchor, which the front keeps."""
-    return spherical_area_green(points, curve.anchor, period / len(points)), curve.anchor
+def _front_area(points: np.ndarray, anchor: np.ndarray, period: float) -> float:
+    """Green area of front samples about the anchor the front keeps from its base."""
+    return spherical_area_green(points, anchor, period / len(points))
 
 
 SPHERE = SPACE_FORMS[SPHERICAL] = SpaceForm(
@@ -151,6 +151,7 @@ SPHERE = SPACE_FORMS[SPHERICAL] = SpaceForm(
     s=np.sin,
     dot=euclidean_dot,
     cross=np.cross,
+    front_anchor=lambda points, curve: curve.anchor,
     front_area=_front_area,
     polar=lambda th, phi: np.column_stack(
         [np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)]

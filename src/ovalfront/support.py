@@ -109,7 +109,7 @@ def build_oval(spec: SupportOval) -> SampledCurve:
 
     h, h' and h'' are synthesized on the grid from the coefficients by one
     inverse real FFT each; ``radius_fn`` evaluates R = h + h'' anywhere for
-    root refinement.
+    root refinement, with its coefficient vectors prepared once.
 
     Raises
     ------
@@ -131,10 +131,7 @@ def build_oval(spec: SupportOval) -> SampledCurve:
     hp = np.fft.irfft(1j * m * coeff, n)
     hpp = np.fft.irfft(-(m**2) * coeff, n)
 
-    def radius_fn(x):
-        return kernels.trig_eval(a, b, x, 0) + kernels.trig_eval(a, b, x, 2)
-
-    return _support_curve(h, hp, hpp, radius_fn)
+    return _support_curve(h, hp, hpp, kernels.trig_series(a, b, (0, 2)))
 
 
 def oval_from_support(

@@ -21,7 +21,6 @@ from .curves import (
     Front,
     LemmaReport,
     SampledCurve,
-    _curvature_callable,
     curvature_profile,
     defect_value,
     eval_scalar,
@@ -162,8 +161,7 @@ def propagation_lemma_check(curve: SampledCurve, t_values: Sequence[float]) -> L
     """
     profile = curvature_profile(curve)
     stars = profile.crossing_params
-    kfn = _curvature_callable(curve)
-    k_star = np.array([eval_scalar(kfn, p) for p in stars])
+    k_star = np.array([eval_scalar(curve.curvature_fn, p) for p in stars])
     kbar = TWO_PI / curve.L
     ts = np.asarray(list(t_values), dtype=float)
     devs = np.full(ts.shape, np.nan)
@@ -234,9 +232,8 @@ def enclosure_inequality_check(inner: SampledCurve, outer) -> EnclosureReport:
 
 def tangent_winding(front: Front) -> int:
     """Winding number of the front's (sign-corrected) tangent direction."""
-    dx = fft_deriv(front.points[:, 0], front.period)
-    dy = fft_deriv(front.points[:, 1], front.period)
+    d = fft_deriv(front.points, front.period)
     sign = np.where(front.regularity == 0, 1, front.regularity)
-    theta = np.arctan2(sign * dy, sign * dx)
+    theta = np.arctan2(sign * d[:, 1], sign * d[:, 0])
     steps = np.angle(np.exp(1j * (np.roll(theta, -1) - theta)))
     return int(round(float(steps.sum()) / TWO_PI))

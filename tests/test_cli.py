@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ovalfront import _kernels as kernels
-from ovalfront import cli, curves, hyperbolic, specio, sphere
+from ovalfront import cli, curves, hyperbolic, specio, sphere, wavefront
 from ovalfront.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NUMERICAL_FAILURE,
@@ -410,6 +410,46 @@ def test_plane_verify_finds_the_attainment_set_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_plane_verify_measures_only_what_it_reads(tmp_path, monkeypatch):
+    # the 11 Steiner and 11 defect fronts measure their areas; only the
+    # critical front refines its cusps, and it measures no area
+    fronts = []
+    propagate_front = curves.propagate_front
+
+    def keeping(curve, t):
+        fronts.append(propagate_front(curve, t))
+        return fronts[-1]
+
+    monkeypatch.setattr(wavefront, "propagate_front", keeping)
+    code = main(["verify", "--input", str(GOLDEN / "oval_spec.json"), "--out", str(tmp_path)])
+    assert code == EXIT_PASS
+    assert len(fronts) == 23
+    [critical] = [front for front in fronts if "cusps" in vars(front)]
+    assert critical.t == -critical.base.L / (2.0 * np.pi) and len(critical.cusps) >= 4
+    assert "area" not in vars(critical)
+    assert sum("area" in vars(front) for front in fronts) == 22
+
+
+@pytest.mark.parametrize(
+    "command, spec, builds",
+    [(["verify"], "hyperbolic", 12),
+     (["propagate", "--t=-0.6:0.4:0.1", "--format", "json"], "sphere", 1)],
+    ids=["hyperbolic-verify", "sphere-propagate"],
+)
+def test_curvature_interpolant_is_built_once_per_curve(tmp_path, monkeypatch, command, spec,
+                                                       builds):
+    # the hyperbolic profile and collapse front share one spline, and so do
+    # the two cusped sphere fronts; each of 11 lemma fronts fits its own
+    calls = []
+    interpolant = curves.periodic_interpolant
+    monkeypatch.setattr(curves, "periodic_interpolant",
+                        lambda *a: calls.append(1) or interpolant(*a))
+    code = main([command[0], "--input", str(GOLDEN / f"{spec}_spec.json"), "--out", str(tmp_path),
+                 *command[1:]])
+    assert code == EXIT_PASS
+    assert len(calls) == builds
+
+
 @pytest.mark.parametrize("doc", [WAVY_SPHERE, WAVY_HYPERBOLIC], ids=["spherical", "hyperbolic"])
 def test_curved_verify_builds_one_front_per_t(tmp_path, monkeypatch, doc):
     # the defect and lemma checks read one front per t: 11 fronts, not 22
@@ -469,6 +509,13 @@ def test_curved_verify_measures_only_the_fronts_it_reads(tmp_path, monkeypatch, 
     assert sum("k" in vars(front) for front in fronts) == k_fronts
     [reads_normal] = [front for front in fronts if "normal" in vars(front)]
     assert reads_normal.t == semigroup_a and not isinstance(reads_normal.base, curves.Front)
+    # the outer semigroup front and the one-step front are compared by their
+    # points alone: they measure neither area nor cusps
+    [outer] = [i for i, front in enumerate(fronts) if isinstance(front.base, curves.Front)]
+    two_step, one_step = fronts[outer:outer + 2]
+    assert one_step.t == two_step.base.t + two_step.t and one_step.base is two_step.base.base
+    for front in (two_step, one_step):
+        assert "area" not in vars(front) and "cusps" not in vars(front)
 
 
 def test_sphere_circle_verify_keeps_the_defect_check(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ovalfront import (
     CurvatureProfile,
@@ -131,6 +132,27 @@ def test_fft_deriv_exact_for_band_limited_input():
     v = np.sin(2 * x) - 0.3 * np.cos(5 * x)
     want = 2 * np.cos(2 * x) + 1.5 * np.sin(5 * x)
     np.testing.assert_allclose(fft_deriv(v), want, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    block=hnp.arrays(
+        float,
+        st.tuples(st.integers(1, 40), st.integers(1, 3)),
+        elements=st.floats(-1e6, 1e6, allow_nan=False),
+    ),
+    period=st.floats(1e-3, 100.0),
+)
+def test_fft_deriv_block_matches_columns_bitwise(block, period):
+    got = fft_deriv(block, period)
+    for j in range(block.shape[1]):
+        column = fft_deriv(block[:, j], period)
+        assert got[:, j].tobytes() == column.tobytes()
+
+
+def test_fft_deriv_refuses_3d_input():
+    with pytest.raises(ValueError, match="1-d or 2-d"):
+        fft_deriv(np.zeros((8, 3, 2)))
 
 
 def test_fourier_antiderivative_inverts_fft_deriv():

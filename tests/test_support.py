@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ovalfront import (
     NonConvexError,
@@ -15,6 +16,7 @@ from ovalfront import (
     euclidean_curve_from_points,
     unit_circle,
 )
+from ovalfront._kernels import trig_eval
 from ovalfront.errors import BadParametrizationError, DegenerateSamplingError
 from ovalfront.support import oval_from_support
 
@@ -144,6 +146,23 @@ def test_ellipse_support_coeffs_reproduce_the_ellipse():
     c = build_oval(SupportOval(coeffs=tuple(dense), n_samples=1024))
     assert c.L == pytest.approx(ELLIPSE_2_1_PERIMETER, rel=1e-9)
     assert c.A == pytest.approx(ELLIPSE_2_1_AREA, rel=1e-9)
+
+
+X = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    amps=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), max_size=16),
+    x=st.one_of(X, hnp.arrays(float, st.integers(1, 20), elements=X)),
+)
+def test_radius_callback_is_the_two_series_bitwise(amps, x):
+    # degree 0-16; a0 outweighs every (1 - m^2) term, so R = h + h'' > 0
+    a0 = 1.0 + sum(m * m * (abs(c) + abs(s)) for m, (c, s) in enumerate(amps, start=1))
+    spec = SupportOval(((a0, 0.0), *amps), n_samples=64)
+    a, b = spec.cos_amps, spec.sin_amps
+    want = trig_eval(a, b, x, 0) + trig_eval(a, b, x, 2)
+    assert build_oval(spec).radius_fn(x).tobytes() == want.tobytes()
 
 
 @given(
