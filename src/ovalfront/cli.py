@@ -113,10 +113,12 @@ def format_list(text: str) -> tuple:
     return formats
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """One subcommand per entry of ``_COMMANDS``, with the flags it reads.
 
-    The flag defaults are read from the environment at each call.
+    Given a ``command``, only its subcommand is built; the usage line still
+    names every command.  The flag defaults are read from the environment
+    at each call.
     """
     flags = {
         "--input": dict(default=_env("INPUT"), help="curve-spec JSON file"),
@@ -135,11 +137,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ovalfront",
         description="Convex-curve wavefront analysis and theorem verification",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, summary, names) in _COMMANDS.items():
-        command = sub.add_parser(name, help=summary)
+    # with every command built, the default metavar lists them all, and
+    # errors call the argument "command" instead of repeating that list
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        _, summary, names = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=summary)
         for flag in names:
-            command.add_argument(flag, **flags[flag])
+            subparser.add_argument(flag, **flags[flag])
     return parser
 
 
@@ -287,8 +293,8 @@ def cmd_propagate(args) -> int:
                 "cusp_params": front.cusps,
             }
         )
-        if "csv" in args.format:
-            specio.write_front_csv(out / f"front_{i:03d}.csv", front)
+    if "csv" in args.format:
+        specio.write_front_csvs(out, fronts)
     if "svg" in args.format:
         _write_curve_svg(out / "propagate_fronts.svg", [curve, *fronts])
     if "json" in args.format:
@@ -644,7 +650,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

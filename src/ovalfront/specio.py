@@ -5,8 +5,10 @@ A curve spec is a small JSON document with ``geometry``,
 turns one into a sampled curve.  Exports (CSV, SVG, JSON reports) are
 deterministic: fixed column orders, fixed float formatting, sorted JSON
 keys, and no timestamps, so identical inputs give byte-identical files.
-Every CSV goes through one table writer, `_write_table`, which prints
-each value as ``%.12g``.
+Every CSV goes through one table writer, `_write_table`, which picks a
+format per column: floats print as ``%.12g``; integers print as ``%d``
+where that gives the same text as ``%.12g`` (|v| < 1e12), else as floats;
+a column already formatted as strings prints as given.
 """
 
 from __future__ import annotations
@@ -174,16 +176,48 @@ def build_curve(doc: dict, n_samples: int | None = None):
 # CSV
 
 
-def _write_table(path, header: str, *columns) -> None:
-    """Write the columns (1-D arrays or 2-D blocks) as CSV, ``%.12g`` per value.
+# integers of smaller magnitude print the same digits with %d as with %.12g
+_EXACT_INT = 10**12
 
-    The whole table is formatted by one ``%`` operation; Python prints
-    nan, inf and -0 the same way as ``f"{x:.12g}"``.
+
+def _field(values: np.ndarray):
+    """(format, values as a list) of one 1-D array column."""
+    if np.issubdtype(values.dtype, np.integer) and (
+        values.size == 0 or -_EXACT_INT < values.min() and values.max() < _EXACT_INT
+    ):
+        return "%d", values.tolist()
+    return "%.12g", values.astype(float, copy=False).tolist()
+
+
+def _formatted(values) -> list:
+    """A 1-D array column as the strings `_write_table` would print for it."""
+    fmt, items = _field(np.asarray(values))
+    return ((fmt + "\n") * len(items) % tuple(items)).split("\n")[:-1]
+
+
+def _write_table(path, header: str, *columns) -> None:
+    """Write the columns as CSV, the whole table in one ``%`` operation.
+
+    A column is a 1-D array, a 2-D block of columns, or a list of strings
+    already formatted.  Float values print as ``%.12g`` (Python prints nan,
+    inf and -0 the same way as ``f"{x:.12g}"``); integer columns print as
+    ``%d`` when every |v| < 1e12, where the text is the same, and as
+    ``%.12g`` of the float otherwise; strings print as given.
     """
-    table = np.column_stack(columns).astype(float, copy=False)
-    rows, width = table.shape
-    line = ",".join(["%.12g"] * width) + "\n"
-    Path(path).write_text(header + "\n" + (line * rows) % tuple(table.ravel().tolist()))
+    fields = []
+    for col in columns:
+        if isinstance(col, list):
+            fields.append(("%s", col))
+            continue
+        col = np.asarray(col)
+        fields.extend(_field(c) for c in (col.T if col.ndim == 2 else [col]))
+    width = len(fields)
+    rows = len(fields[0][1])
+    flat = [None] * (rows * width)
+    for j, (_, items) in enumerate(fields):
+        flat[j::width] = items
+    line = ",".join(fmt for fmt, _ in fields) + "\n"
+    Path(path).write_text(header + "\n" + (line * rows) % tuple(flat))
 
 
 def write_profile_csv(path, profile) -> None:
@@ -214,13 +248,31 @@ def write_curve_csv(path, curve) -> None:
         _write_table(path, "s,x0,x1,x2,k", curve.s, curve.points, curve.k)
 
 
-def write_front_csv(path, front) -> None:
-    """Front samples with per-sample regularity signs."""
+def write_front_csv(path, front, s=None) -> None:
+    """Front samples with per-sample regularity signs.
+
+    ``s`` is the arc-length column already formatted (`write_front_csvs`
+    passes it); by default it is formatted from ``front.s``.
+    """
     if front.points.shape[1] == 2:
         cols = "s,x,y"
     else:
         cols = "s,x,y,z" if front.geometry == SPHERICAL else "s,x0,x1,x2"
-    _write_table(path, cols + ",regularity", front.s, front.points, front.regularity)
+    _write_table(path, cols + ",regularity", front.s if s is None else s,
+                 front.points, front.regularity)
+
+
+def write_front_csvs(out, fronts) -> None:
+    """``front_000.csv``, ``front_001.csv``, ... in directory ``out``, one per front.
+
+    Fronts of one curve share their base's arc-length array; each run of
+    fronts with the same array formats it once.
+    """
+    shared = text = None
+    for i, front in enumerate(fronts):
+        if front.s is not shared:
+            shared, text = front.s, _formatted(front.s)
+        write_front_csv(Path(out) / f"front_{i:03d}.csv", front, text)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,13 @@ def test_help_and_missing_command():
     assert main([]) == EXIT_INPUT_ERROR
 
 
+def test_usage_error_names_every_command(capsys):
+    # only the verify subcommand is built, but the usage line is the full one
+    assert main(["verify", "--bogus"]) == EXIT_INPUT_ERROR
+    usage = capsys.readouterr().err.splitlines()[0]
+    assert usage == "usage: ovalfront [-h] {analyze,propagate,verify,counterexample,export} ..."
+
+
 def test_parse_t_spec_forms():
     assert parse_t_spec(None) is None
     assert parse_t_spec("0.5") == [0.5]
@@ -651,6 +658,27 @@ def test_plane_propagate_matches_golden(tmp_path):
     for i in range(3):
         written = (tmp_path / f"front_{i:03d}.csv").read_bytes()
         assert written == (GOLDEN / f"propagate_front_{i:03d}.csv").read_bytes(), i
+
+
+def test_curved_propagate_fronts_match_golden(tmp_path):
+    # three coordinate columns, a negative regularity at t = -0.6, and t = 0
+    code = main(["propagate", "--input", str(GOLDEN / "sphere_spec.json"), "--out", str(tmp_path),
+                 "--samples", "128", "--t=-0.6:0.6:0.6", "--format", "csv"])
+    assert code == EXIT_PASS
+    for i in range(3):
+        written = (tmp_path / f"front_{i:03d}.csv").read_bytes()
+        assert written == (GOLDEN / f"propagate_sphere_front_{i:03d}.csv").read_bytes(), i
+
+
+def test_analyze_csvs_match_golden(tmp_path):
+    # the spectrum's integer index column; the curve table is the export one
+    code = main(["analyze", "--input", str(GOLDEN / "oval_spec.json"), "--out", str(tmp_path),
+                 "--format", "csv"])
+    assert code == EXIT_PASS
+    for written, golden in (("analyze_profile.csv", "analyze_profile.csv"),
+                            ("analyze_spectrum.csv", "analyze_spectrum.csv"),
+                            ("analyze_curve.csv", "export_curve.csv")):
+        assert (tmp_path / written).read_bytes() == (GOLDEN / golden).read_bytes(), written
 
 
 def test_counterexample_curve_matches_golden(tmp_path):

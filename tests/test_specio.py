@@ -1,5 +1,6 @@
 """Curve-spec parsing, builders, and deterministic export formats."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,8 @@ from ovalfront import (
     hyperbolic_circle,
     load_curve_spec,
     propagate,
+    propagate_hyperbolic,
+    propagate_sphere,
     sphere_circle,
     spectrum,
     unit_circle,
@@ -238,6 +241,24 @@ def test_front_csv_layouts(tmp_path, oval):
     assert len(lines) == 1 + len(front.points)
 
 
+def test_front_csvs_match_one_call_per_front(tmp_path, oval):
+    # plane, sphere and hyperbolic fronts in one call, so the shared arc-length
+    # column changes between runs of fronts; one front has regularity 0
+    plane = [propagate(oval, t) for t in (-0.8, 0.0, 0.3)]
+    plane[1] = dataclasses.replace(plane[1], factor=np.where(np.arange(128) % 5, 1.0, 0.0))
+    sphere = sphere_circle(0.7, n_samples=64)
+    hyper = hyperbolic_circle(0.7, n_samples=64)
+    fronts = [*plane, propagate_sphere(sphere, -0.2), propagate_sphere(sphere, 0.3),
+              propagate_hyperbolic(hyper, 0.2), plane[0]]
+    assert 0 in fronts[1].regularity and fronts[3].s is fronts[4].s
+    specio.write_front_csvs(tmp_path, fronts)
+    for i, front in enumerate(fronts):
+        one = tmp_path / f"one_{i}.csv"
+        specio.write_front_csv(one, front)
+        assert (tmp_path / f"front_{i:03d}.csv").read_bytes() == one.read_bytes(), i
+    assert (tmp_path / "front_005.csv").read_text().startswith("s,x0,x1,x2,regularity\n")
+
+
 def test_csv_is_deterministic(tmp_path, oval):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     specio.write_curve_csv(a, oval)
@@ -260,10 +281,21 @@ EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.22507385
 def test_table_writer_matches_per_value_format(tmp_path):
     x = np.array(EDGE_VALUES)
     regularity = np.resize(np.array([-1, 0, 1], dtype=np.int8), len(x))
-    columns = (x, -x[::-1], np.sqrt(np.abs(x)), regularity)
+    # %d where it prints as %.12g does (|v| < 1e12); a column with any value
+    # past that goes through float
+    ints = [[0, 1, -7, 2**19, -(2**19), 10**12 - 1, 1 - 10**12], [2**19, 10**12],
+            [2**19, -(10**12)], [7, 2**53 + 1], [7, 2**63 - 1], [7, -(2**63)]]
+    ints = [np.resize(np.array(v, dtype=np.int64), len(x)) for v in ints]
+    columns = (x, -x[::-1], np.sqrt(np.abs(x)), regularity, *ints)
+    header = "a,b,c,regularity," + ",".join("i%d" % j for j in range(len(ints)))
     path = tmp_path / "table.csv"
-    specio._write_table(path, "a,b,c,regularity", *columns)
-    assert path.read_text() == per_value_csv("a,b,c,regularity", columns)
+    specio._write_table(path, header, *columns)
+    assert path.read_text() == per_value_csv(header, columns)
+
+    # an already formatted column prints as given
+    s = [f"{v:.12g}" for v in x.tolist()]
+    specio._write_table(path, "s,b,c,regularity", s, np.column_stack(columns[1:3]), regularity)
+    assert path.read_text() == per_value_csv("s,b,c,regularity", (x, *columns[1:4]))
 
 
 @settings(max_examples=100, deadline=None)
