@@ -19,14 +19,14 @@ def trig_eval(cos_amps, sin_amps, x, deriv=0):
     ----------
     cos_amps, sin_amps : array_like
         Coefficients of cos(n x) and sin(n x) for n = 0 .. n_max.
-    x : array_like
+    x : float or array_like
         Evaluation points (radians).
     deriv : int
         Derivative order >= 0.
 
     Returns
     -------
-    ndarray of the same length as ``x``.
+    ndarray of the shape of ``x``; a scalar ``x`` gives a scalar.
     """
     return trig_series(cos_amps, sin_amps, (deriv,))(x)
 
@@ -35,10 +35,11 @@ def trig_series(cos_amps, sin_amps, derivs):
     """The sum of several derivatives of a trigonometric polynomial, as a callable.
 
     The harmonic index and the scaled coefficient vectors of each order in
-    ``derivs`` are prepared once; each call forms the outer product n x
+    ``derivs`` are prepared once; each call forms the outer product x n
     once and adds the terms in the order given, so
     ``trig_series(a, b, (0, 2))(x)`` equals
-    ``trig_eval(a, b, x, 0) + trig_eval(a, b, x, 2)`` bit for bit.
+    ``trig_eval(a, b, x, 0) + trig_eval(a, b, x, 2)`` bit for bit.  A
+    scalar x gives a scalar, from one row of n x.
     """
     a = np.asarray(cos_amps, dtype=float)
     b = np.asarray(sin_amps, dtype=float)
@@ -54,7 +55,7 @@ def trig_series(cos_amps, sin_amps, derivs):
         terms.append((deriv * 0.5 * np.pi, scale * a, scale * b))
 
     def series(x):
-        nx = np.array(x, dtype=float, ndmin=1)[..., None] * n
+        nx = np.multiply.outer(np.asarray(x, dtype=float), n)
         total = None
         for shift, ca, sb in terms:
             phase = nx + shift
@@ -78,9 +79,12 @@ def periodic_deriv(values, order, spacing):
         raise ValueError("values must be 1-d or 2-d")
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
+    n = len(v)
+    # one copy wrapped three samples past each end (more than once if n < 3)
+    wrapped = np.take(v, np.arange(-3, n + 3), axis=0, mode="wrap")
 
     def r(k):
-        return np.roll(v, -k, axis=0)  # r(k)[i] == v[i + k]
+        return wrapped[3 + k : 3 + k + n]  # r(k)[i] == v[(i + k) % n]
 
     if order == 1:
         return (r(-2) - 8.0 * r(-1) + 8.0 * r(1) - r(2)) / (12.0 * spacing)

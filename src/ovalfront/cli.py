@@ -18,6 +18,7 @@ input or usage error, 3 an internal numerical failure on valid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -147,6 +148,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         for flag in names:
             subparser.add_argument(flag, **flags[flag])
     return parser
+
+
+@functools.lru_cache(maxsize=16)
+def _parser(command: Optional[str], env: tuple) -> argparse.ArgumentParser:
+    """``build_parser(command)``, built once per command and ``OVALFRONT_*`` values ``env``."""
+    return build_parser(command)
 
 
 def parse_t_spec(text: Optional[str]):
@@ -647,11 +654,14 @@ _COMMANDS = {
     "export": (cmd_export, "re-emit the curve in requested formats",
                ("--input", "--out", "--samples", "--format")),
 }
+# the environment variable of each flag, without the prefix: --samples reads SAMPLES
+_ENV_NAMES = tuple(sorted({flag[2:].upper() for *_, flags in _COMMANDS.values() for flag in flags}))
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _parser(command, tuple(_env(name) for name in _ENV_NAMES))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

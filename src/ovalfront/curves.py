@@ -18,7 +18,7 @@ mean?) lives here for the same reason.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -376,16 +376,25 @@ def _bracketed_roots(g, pairs, param, period: float) -> np.ndarray:
     out: the sampled signs can flip on roundoff where ``g`` does not (a
     circle's front factor at its collapse time).
     """
+    # brentq's NaN guard holds its target in a reference cycle that only
+    # the garbage collector frees; brentq gets a proxy, and g (with the
+    # spline it reads) is let go on return
+    target = [g]
+
+    def f(x):
+        return target[0](x)
+
     roots = []
     for i, j in pairs:
         lo, hi = param[i], param[j]
         if hi <= lo:  # bracket wraps past the end of the grid
             hi += period
         try:
-            roots.append(brentq(g, lo, hi, xtol=ROOT_XTOL) % period)
+            roots.append(brentq(f, lo, hi, xtol=ROOT_XTOL) % period)
         except ValueError as err:
             if "different signs" not in str(err):
                 raise
+    target.clear()
     return np.array(roots, dtype=float)
 
 
@@ -395,6 +404,14 @@ def _param(curve) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # spectral helpers on uniform periodic grids
+
+
+@lru_cache(maxsize=8)
+def _spectral_freq(m: int, period: float) -> np.ndarray:
+    """The derivative factors 2 pi i j / period of rfft bins j < m, read-only."""
+    freq = 2j * np.pi * np.arange(m) / period
+    freq.flags.writeable = False
+    return freq
 
 
 def fft_deriv(values: np.ndarray, period: float = TWO_PI) -> np.ndarray:
@@ -407,7 +424,7 @@ def fft_deriv(values: np.ndarray, period: float = TWO_PI) -> np.ndarray:
     if v.ndim not in (1, 2):
         raise ValueError("values must be 1-d or 2-d")
     coeff = np.fft.rfft(v, axis=0)
-    freq = 2j * np.pi * np.arange(len(coeff)) / period
+    freq = _spectral_freq(len(coeff), float(period))
     if v.ndim == 2:
         freq = freq[:, None]
     return np.fft.irfft(coeff * freq, len(v), axis=0)
@@ -423,7 +440,7 @@ def fourier_antiderivative(values: np.ndarray, period: float = TWO_PI) -> np.nda
     n = v.size
     vbar = float(v.mean())
     coeff = np.fft.rfft(v - vbar)
-    freq = 2j * np.pi * np.arange(coeff.size) / period
+    freq = _spectral_freq(coeff.size, float(period))
     with np.errstate(divide="ignore", invalid="ignore"):
         anti = np.where(freq != 0.0, coeff / freq, 0.0)
     osc = np.fft.irfft(anti, n)

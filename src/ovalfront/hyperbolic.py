@@ -543,12 +543,13 @@ def build_rounded_semicircle(spec: RoundedSemicircleSpec) -> HyperbolicCurve:
     r, c, eps = spec.r, spec.corner_scale, spec.flat_deviation
     _corner_peak(r, c, eps)  # validate early
     guess = np.array([max(r - c, 0.1), max(0.5 * np.pi * np.sinh(r) - c, 0.1)])
-    # shots at huge r overflow to inf or NaN, which the residual gate rejects
+    # shots at huge r overflow to inf or NaN, which the residual gate rejects;
+    # hybr returns the shot at its solution as sol.fun
     with np.errstate(over="ignore", invalid="ignore"):
         sol = root(
             lambda v: _shoot_half(r, c, eps, v), guess, method="hybr", options={"xtol": 1e-12}
         )
-        resid = float(np.linalg.norm(_shoot_half(r, c, eps, sol.x)))
+        resid = float(np.linalg.norm(sol.fun))
     if not resid <= 5e-10:  # a NaN residual fails too
         raise NumericalFailureError(f"corner shooting failed to close (residual {resid:.3g})")
     half_flat, half_arc = sol.x

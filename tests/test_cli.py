@@ -202,6 +202,41 @@ def test_env_overrides(tmp_path, monkeypatch):
     assert read_report(tmp_path, "export_curve.json")["n_samples"] == 128
 
 
+def test_parser_is_cached_per_command_and_environment(tmp_path, monkeypatch, capsys):
+    # the environment is read on every call; a changed default is used at once
+    builds = []
+    build = cli.build_parser
+
+    def counted_build(command=None):
+        builds.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    spec = write_spec(tmp_path, WAVY_OVAL)
+    argv = ["export", "--input", spec, "--out", str(tmp_path), "--format", "json"]
+    for n in (128, 256, 256, 128):
+        monkeypatch.setenv("OVALFRONT_SAMPLES", str(n))
+        assert main(argv) == EXIT_PASS
+        assert read_report(tmp_path, "export_curve.json")["n_samples"] == n
+    assert builds == ["export", "export"]
+
+    argv = ["verify", "--input", spec, "--out", str(tmp_path), "--samples", "256", "--t=0.1"]
+    for tol in ("1e-6", "1e-3"):
+        monkeypatch.setenv("OVALFRONT_TOL", tol)
+        assert main(argv) == EXIT_PASS
+        assert read_report(tmp_path, "verify_report.json")["tol"] == float(tol)
+
+    # an invalid value is refused on every call, not only the one that builds
+    for name, value in (("SAMPLES", "100"), ("TOL", "-1")):
+        monkeypatch.setenv("OVALFRONT_" + name, value)
+        for _ in range(2):
+            assert main(argv[:5]) == EXIT_INPUT_ERROR
+            assert f"--{name.lower()}" in capsys.readouterr().err
+        monkeypatch.delenv("OVALFRONT_" + name)
+    cli._parser.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

@@ -1,6 +1,8 @@
 """Curve containers, profiles, crossing counts, resampling utilities."""
 
+import gc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -99,6 +101,25 @@ def test_bracketed_roots_leave_out_brackets_without_a_sign_change():
     samples = np.cos(x)
     assert samples[0] * samples[1] < 0 and samples[3] * samples[0] < 0
     roots = _bracketed_roots(lambda s: np.cos(s) if s < 4.0 else 1.0, [(0, 1), (3, 0)], x, TWO_PI)
+    np.testing.assert_allclose(roots, [np.pi / 2], atol=1e-12)
+
+
+def test_bracketed_roots_let_go_of_their_target():
+    # brentq's NaN guard keeps its callable in a reference cycle; the target
+    # (a front's curvature spline, say) must not wait for the garbage collector
+    class Target:
+        def __call__(self, s):
+            return np.cos(s)
+
+    g = Target()
+    alive = weakref.ref(g)
+    gc.disable()
+    try:
+        roots = _bracketed_roots(g, [(0, 1)], np.array([0.5, 2.0]), TWO_PI)
+        del g
+        assert alive() is None
+    finally:
+        gc.enable()
     np.testing.assert_allclose(roots, [np.pi / 2], atol=1e-12)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ovalfront import hyperbolic
 from ovalfront import (
     BadParametrizationError,
     CothDomainError,
@@ -260,6 +261,34 @@ def test_semicircle_closes_on_the_hyperboloid(r):
     assert np.max(np.abs(mdot(x, x) + 1.0)) <= 1e-10
     assert np.max(np.abs(mdot(tvec, tvec) - 1.0)) <= 1e-10
     assert np.max(np.abs(mdot(x, tvec))) <= 1e-10
+
+
+@pytest.mark.parametrize("r", [0.9, 2.0])
+def test_semicircle_gates_on_the_solvers_own_residual(r, monkeypatch):
+    # the closure gate reads hybr's sol.fun: after the solve, only the
+    # final build integrates the frame
+    calls = []
+    solves = []
+    integrate = hyperbolic._integrate_profile
+    solve = hyperbolic.root
+
+    def counted_integrate(*args):
+        calls.append(1)
+        return integrate(*args)
+
+    def counted_root(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        solves.append((sol, len(calls)))
+        return sol
+
+    monkeypatch.setattr(hyperbolic, "_integrate_profile", counted_integrate)
+    monkeypatch.setattr(hyperbolic, "root", counted_root)
+    curve = build_rounded_semicircle(RoundedSemicircleSpec(r=r, n_samples=256))
+    [(sol, during_solve)] = solves
+    assert during_solve >= sol.nfev
+    assert len(calls) == during_solve + 1
+    assert float(np.linalg.norm(sol.fun)) <= 5e-10
+    assert curve.build_residual < 1e-10
 
 
 def test_semicircle_builds_without_numpy2_api(monkeypatch):

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ovalfront._kernels import BACKEND, periodic_deriv, transitions, trig_eval
+from ovalfront._kernels import BACKEND, periodic_deriv, transitions, trig_eval, trig_series
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +39,24 @@ def test_trig_eval_rejects_mismatched_coeffs():
         trig_eval([1.0, 0.0], [0.0], [0.1])
     with pytest.raises(ValueError):
         trig_eval([1.0], [0.0], [0.1], deriv=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    amps=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1,
+                  max_size=17),
+    x=st.floats(-1e3, 1e3),
+    derivs=st.sampled_from([(0,), (0, 2)]),
+)
+@example(amps=[(1.5, 0.7)], x=0.3, derivs=(0,))
+@example(amps=[(1.5, 0.7)], x=-2.1, derivs=(0, 2))
+def test_trig_series_scalar_is_element_0_of_the_array_call(amps, x, derivs):
+    # degree 0 to 16; a scalar x gives a scalar, bitwise the array call's entry
+    a, b = np.array(amps).T
+    series = trig_series(a, b, derivs)
+    got = series(x)
+    assert np.ndim(got) == 0
+    assert np.float64(got).tobytes() == series(np.array([x]))[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +111,34 @@ def test_periodic_deriv_validates_arguments():
     order=st.integers(1, 3),
     spacing=st.floats(1e-3, 10.0),
 )
+# fewer samples than the stencil is wide: the taps wrap more than once
+@example(block=np.array([[2.5]]), order=3, spacing=0.5)
+@example(block=np.array([[1.0, -2.0], [3.0, 0.5]]), order=1, spacing=0.1)
+@example(block=np.arange(15.0).reshape(5, 3) ** 2, order=2, spacing=0.7)
+@example(block=np.sin(np.arange(6.0))[:, None], order=3, spacing=0.3)
 def test_periodic_deriv_block_matches_columns_bitwise(block, order, spacing):
     got = periodic_deriv(block, order, spacing)
+    assert got.tobytes() == _rolled_periodic_deriv(block, order, spacing).tobytes()
     for j in range(block.shape[1]):
         column = periodic_deriv(block[:, j], order, spacing)
         assert got[:, j].tobytes() == column.tobytes()
+
+
+def _rolled_periodic_deriv(v, order, spacing):
+    """The stencils with one np.roll per tap: the bitwise reference."""
+
+    def r(k):
+        return np.roll(v, -k, axis=0)  # r(k)[i] == v[i + k]
+
+    if order == 1:
+        return (r(-2) - 8.0 * r(-1) + 8.0 * r(1) - r(2)) / (12.0 * spacing)
+    if order == 2:
+        return (-r(-2) + 16.0 * r(-1) - 30.0 * v + 16.0 * r(1) - r(2)) / (
+            12.0 * spacing**2
+        )
+    return (
+        0.125 * r(-3) - r(-2) + 1.625 * r(-1) - 1.625 * r(1) + r(2) - 0.125 * r(3)
+    ) / spacing**3
 
 
 # ---------------------------------------------------------------------------
