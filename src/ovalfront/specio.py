@@ -7,12 +7,17 @@ deterministic: fixed column orders, fixed float formatting, sorted JSON
 keys, and no timestamps, so identical inputs give byte-identical files.
 Every CSV goes through one table writer, `_write_table`, which picks a
 format per column: floats print as ``%.12g``; integers print as ``%d``
-where that gives the same text as ``%.12g`` (|v| < 1e12), else as floats;
-a column already formatted as strings prints as given.
+where that gives the same text as ``%.12g`` (|v| < 1e12), else as floats.
+SVG coordinates print as ``%.2f``.  The numbers of a table are printed by
+a cell writer (`_text`): NumPy turns each block of rows into fixed-width
+byte cells and keeps the bytes each value prints.  A value it cannot print
+exactly (zero, nan, inf, an exponent form, a near rounding tie) sends its
+row to Python's ``%``, so every byte is that of one ``%`` per value.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import EUCLIDEAN, HYPERBOLIC, SPHERICAL, periodic_interpolant
-from .errors import SpecFormatError
+from .errors import BadParametrizationError, FrenetBreakdownError, SpecFormatError
 from .hyperbolic import (
     RoundedSemicircleSpec,
     build_rounded_semicircle,
@@ -30,7 +35,6 @@ from .hyperbolic import (
 )
 from .sphere import perturbed_sphere_circle, sphere_curve_from_points, total_torsion
 from .support import SupportOval, build_oval, check_oval_sampling, euclidean_curve_from_points
-from .errors import BadParametrizationError, FrenetBreakdownError
 
 SCHEMA_VERSION = 1
 
@@ -173,6 +177,238 @@ def build_curve(doc: dict, n_samples: int | None = None):
 
 
 # ---------------------------------------------------------------------------
+# number cells
+#
+# Tables print each number as a fixed-width cell of uint32 words: a head word,
+# words of integer digits right-aligned, and words holding the point and the
+# fraction digits left-aligned.  The separator that precedes the value and its
+# minus sign go in the bytes just before its first digit (in the head word
+# when the integer words are full).  A keep mask, looked up by sign,
+# integer-digit count and fraction-digit count, keeps the one run of bytes a
+# value prints, so one boolean selection of a block of rows gives its text.
+# A value the cells cannot print exactly (zero, nan, inf, an exponent form, a
+# near rounding tie) marks its row slow, and Python's ``%`` prints that row.
+
+
+def _quad_tables():
+    """For i = 0 ... 9999: the word "%04d" % i, its trailing zeros (4 for 0) and
+    its digits printed with %d; and for i < 1000 the word "." + "%03d" % i, a
+    fraction's leading word.  Built from arrays of at most 40 kB, so that the
+    import leaves no large freed blocks behind in the process's memory."""
+    text = np.empty((10, 10, 10, 10, 4), np.uint8)
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for j in range(4):
+        text[..., j] = digit.reshape((10,) + (1,) * (3 - j))
+    text = text.reshape(10000, 4)
+    quads = text.view(np.uint32).ravel().copy()
+    text[:, 0] = ord(".")
+    points = text[:1000].view(np.uint32).ravel().copy()
+    i = np.arange(10000, dtype=np.int16)
+    zeros = sum((i % 10**j == 0).astype(np.uint8) for j in range(1, 5))
+    digits = 1 + sum((i >= 10**j).astype(np.uint8) for j in range(1, 4))
+    return quads, zeros, digits, points
+
+
+_QUAD_TEXT, _QUAD_ZEROS, _QUAD_DIGITS, _POINT_TEXT = _quad_tables()
+_POW10 = 10 ** np.arange(17, dtype=np.int64)
+_POW10F = _POW10.astype(float)  # exact: every power of ten up to 10**22 is a double
+# rows formatted at once; a block's cells take about 0.2 MB
+_BLOCK_ROWS = 1024
+
+
+def _quads(v, count: int):
+    """The base-10000 digits of int64 ``v`` (0 <= v < 10**(4 count)), most significant first."""
+    low = []
+    for _ in range(count - 1):
+        q = v // 10000
+        low.append(v - q * 10000)
+        v = q
+    return [v, *reversed(low)]
+
+
+def _trailing_zeros(v, quads: int = 3):
+    """Trailing zero digits of int64 ``v``, 0 < v < 10**(4 quads) (4 quads for v = 0)."""
+    q = v // 10000
+    zeros = _QUAD_ZEROS[v - q * 10000]
+    more = np.flatnonzero(zeros == 4)
+    if quads > 1 and more.size:
+        zeros.flat[more] += _trailing_zeros(q.flat[more], quads - 1)
+    return zeros
+
+
+def _ndigits(v):
+    """Digits of int64 ``v`` (0 <= v < 10**12) printed with ``%d``."""
+    return np.searchsorted(_POW10[1:13], v, side="right") + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _keep_table(whole: int, frac: int):
+    """Keep masks of cells with ``whole`` words of integer digits and ``frac``
+    words of the point and 4 frac - 1 fraction digits, as uint32 words, one row
+    per (negative, integer digits, fraction digits)."""
+    words = 1 + whole + frac
+    pos = np.arange(4 * words)
+    point = 4 + 4 * whole
+    neg, nint, nfrac = (a[..., None] for a in np.ix_(
+        range(2), range(4 * whole + 1), range(max(4 * frac - 1, 0) + 1)))
+    keep = ((pos >= point - nint - 1 - neg) & (pos < point)
+            | (pos == point) & (nfrac > 0)
+            | (pos > point) & (pos <= point + nfrac))
+    return keep.astype(np.uint8).reshape(-1, 4 * words).view(np.uint32), keep.shape[1:3]
+
+
+def _cells(frac_words: int, seps, neg, whole, nint=None, frac=None, nfrac=0):
+    """Cells and keep masks, (rows, k, words) uint32 each, of values with sign ``neg``.
+
+    ``seps`` holds the separator byte of each of the k columns.  ``whole`` is
+    the integer part and ``nint`` its digit count (by default counted);
+    ``frac`` is the fraction as a (4 frac_words - 1)-digit integer, of which
+    the first ``nfrac`` digits print.  The cells hold as many words of
+    integer digits as the largest ``whole`` needs; bytes a value does not
+    print are left unwritten.
+    """
+    top = whole.max(initial=0)
+    quads = _quads(whole, 1 + (top >= 10**4) + (top >= 10**8))
+    if nint is None:
+        nint = _QUAD_DIGITS[whole] if len(quads) == 1 else _ndigits(whole)
+    table, (ni, nf) = _keep_table(len(quads), frac_words)
+    cells = np.empty(whole.shape + (table.shape[1],), np.uint32)
+    for j, r in enumerate(quads, 1):
+        cells[..., j] = _QUAD_TEXT[r]
+    if frac_words:
+        rems = _quads(frac, frac_words)
+        cells[..., 1 + len(quads)] = _POINT_TEXT[rems[0]]
+        for j, r in enumerate(rems[1:], 2 + len(quads)):
+            cells[..., j] = _QUAD_TEXT[r]
+    # the sign just before the first digit, the separator before the sign; a
+    # slow value's nint exceeds its integer digits by at most one, so both stay
+    # in its own cell (its row is dropped, its keep row may be clipped)
+    flat = cells.view(np.uint8).reshape(-1)
+    sign = np.arange(0, flat.size, 4 * cells.shape[-1]).reshape(whole.shape) + (3 + 4 * len(quads))
+    sign -= nint
+    flat[sign] = ord("-")
+    flat[sign - neg] = seps
+    return cells, table.take((neg * ni + nint) * nf + nfrac, axis=0, mode="clip")
+
+
+# integer digits of a %.12g value with 11 - e = k
+_NINT = np.maximum(12 - np.arange(16), 1)
+
+
+def _g_cells(x, seps):
+    """``%.12g`` cells and keep masks of float array ``x``, and where it needs Python's ``%``.
+
+    A value prints as fixed point when its decimal exponent e after rounding
+    lies in [-4, 11]: its 12 significant digits are m = rint(|x| 10**(11-e)),
+    10**11 <= m < 10**12.  The power of ten is exact and the product rounds
+    once, by at most 2**-14 below 10**12, so m is exact unless the product
+    lies within 1e-4 of a tie; those values, exponent forms, zero, nan and
+    inf are slow.  An exponent that log10 gets wrong by one puts the product
+    outside [10**11, 10**12) and marks the value slow too.
+    """
+    a = np.fmin(np.fmax(np.abs(x), 1e-300), 1e13)  # zero and nan to 1e-300, inf to 1e13
+    k = np.clip(11 - np.floor(np.log10(a)), 0, 15).astype(np.intp)  # 11 - e
+    p = _POW10F[k]
+    y = a * p
+    # m >= 10**12 clips to 10**12 - 1 and so lies at least 0.5 from y
+    m = np.fmin(np.rint(y), 1e12 - 1)
+    slow = (np.abs(y - m) > 0.5 - 1e-4) | (y < 1e11)
+    whole = np.floor(m / p)  # exact: m and p are exact and m / p rounds once
+    frac = (m - whole * p) * _POW10F[15 - k]  # < 10**15, exact
+    nfrac = np.maximum(k - _trailing_zeros(m.astype(np.int64)), 0)
+    return (*_cells(4, seps, np.signbit(x), whole.astype(np.int64), _NINT[k],
+                    frac.astype(np.int64), nfrac), slow)
+
+
+def _d_cells(v, seps):
+    """``%d`` cells and keep masks of integer array ``v``, every |v| < 1e12; none is slow."""
+    return (*_cells(0, seps, v < 0, np.abs(v.astype(np.int64))), None)
+
+
+def _f2_cells(x, seps):
+    """``%.2f`` cells and keep masks of float array ``x``, and where it needs Python's ``%``.
+
+    |x| 100 rounds once, by at most 2**-33 below 1e6, so its rint is exact
+    unless it lies within 1e-6 of a tie; those values, |x| that rounds to
+    10000.00 or more, nan and inf are slow.  The sign prints for every x with
+    its sign bit set, as ``%`` prints -0.00.
+    """
+    y = np.fmin(np.abs(x), 1e7) * 100  # inf to 1e9; nan stays nan and fails both tests
+    m = np.rint(y)
+    fast = (np.abs(y - m) < 0.5 - 1e-6) & (m < 1e6)
+    m = np.where(fast, m, 0.0).astype(np.int64)
+    whole = m // 100
+    return (*_cells(1, seps, np.signbit(x), whole, None, (m - 100 * whole) * 10, 2), ~fast)
+
+
+_FORMATS = {"%.12g": _g_cells, "%d": _d_cells, "%.2f": _f2_cells}
+
+
+class _Numbers:
+    """An (n, k) array printed with one format, formatted a block of rows at a time."""
+
+    def __init__(self, fmt: str, values):
+        self.fmt, self.values = fmt, values
+
+    def block(self, start: int, seps):
+        """(cells, keep, slow) of rows ``start`` .. ``start`` + `_BLOCK_ROWS`; slow may be None.
+
+        ``seps`` holds the separator byte that precedes each column's values.
+        """
+        return _FORMATS[self.fmt](self.values[start:start + _BLOCK_ROWS], seps)
+
+
+class _SharedColumn(_Numbers):
+    """A float column printed in several tables; each block is formatted once."""
+
+    def __init__(self, values):
+        super().__init__("%.12g", np.asarray(values, dtype=float)[:, None])
+        self._blocks = {}
+
+    def block(self, start: int, seps):
+        key = start, seps.tobytes()
+        if key not in self._blocks:
+            self._blocks[key] = super().block(start, seps)
+        return self._blocks[key]
+
+
+def _text(columns, seps: str):
+    """Yield the text of a table as bytes, in pieces.
+
+    ``columns`` holds one (numbers, j) per printed column, column j of a
+    `_Numbers`; every value is preceded by its column's character of
+    ``seps``.  A row with a slow value prints with Python's ``%``, every
+    value of it.
+    """
+    line = "".join(sep + num.fmt for (num, _), sep in zip(columns, seps))
+    runs = []  # [numbers, first, last + 1] of consecutive columns of one array
+    col_seps = {}
+    for (num, j), sep in zip(columns, seps):
+        col_seps.setdefault(num, np.zeros(num.values.shape[1], np.uint8))[j] = ord(sep)
+        if runs and runs[-1][0] is num and runs[-1][2] == j:
+            runs[-1][2] += 1
+        else:
+            runs.append([num, j, j + 1])
+    for start in range(0, len(columns[0][0].values), _BLOCK_ROWS):
+        blocks = {num: num.block(start, num_seps) for num, num_seps in col_seps.items()}
+        pieces = [[blocks[num][i][:, a:b].reshape(len(blocks[num][i]), -1) for num, a, b in runs]
+                  for i in (0, 1)]
+        cells, keep = (part[0] if len(runs) == 1 else np.concatenate(part, axis=1)
+                       for part in pieces)
+        text, kept = cells.view(np.uint8), keep.view(bool)
+        slow = set()
+        for _, _, flags in blocks.values():
+            if flags is not None:
+                slow.update((np.flatnonzero(flags) // flags.shape[1]).tolist())
+        done = 0
+        for r in sorted(slow):
+            yield text[done:r][kept[done:r]].tobytes()
+            yield (line % tuple(num.values[start + r, j].item() for num, j in columns)).encode()
+            done = r + 1
+        yield text[done:][kept[done:]].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # CSV
 
 
@@ -180,44 +416,41 @@ def build_curve(doc: dict, n_samples: int | None = None):
 _EXACT_INT = 10**12
 
 
-def _field(values: np.ndarray):
-    """(format, values as a list) of one 1-D array column."""
-    if np.issubdtype(values.dtype, np.integer) and (
-        values.size == 0 or -_EXACT_INT < values.min() and values.max() < _EXACT_INT
-    ):
-        return "%d", values.tolist()
-    return "%.12g", values.astype(float, copy=False).tolist()
-
-
-def _formatted(values) -> list:
-    """A 1-D array column as the strings `_write_table` would print for it."""
-    fmt, items = _field(np.asarray(values))
-    return ((fmt + "\n") * len(items) % tuple(items)).split("\n")[:-1]
-
-
 def _write_table(path, header: str, *columns) -> None:
-    """Write the columns as CSV, the whole table in one ``%`` operation.
+    """Write the columns as CSV through the cell writer.
 
-    A column is a 1-D array, a 2-D block of columns, or a list of strings
-    already formatted.  Float values print as ``%.12g`` (Python prints nan,
-    inf and -0 the same way as ``f"{x:.12g}"``); integer columns print as
-    ``%d`` when every |v| < 1e12, where the text is the same, and as
-    ``%.12g`` of the float otherwise; strings print as given.
+    A column is a 1-D array, a 2-D block of columns, or a `_SharedColumn`
+    that several tables print.  Float values print as ``%.12g``; integer
+    columns print as ``%d`` when every |v| < 1e12, where the text is the
+    same, and as ``%.12g`` of the float otherwise.  The float columns are
+    formatted together as one (n, d) block, and so are the integer ones,
+    1024 rows at a time, so memory stays flat in the table's length.  Rows
+    holding a value the cells cannot print exactly go through Python's ``%``
+    (which prints nan, inf and -0 as ``f"{x:.12g}"`` does), so every byte is
+    that of one ``%`` per value.
     """
-    fields = []
+    groups = {"%.12g": [], "%d": []}
+    keys = []
     for col in columns:
-        if isinstance(col, list):
-            fields.append(("%s", col))
+        if isinstance(col, _SharedColumn):
+            keys.append((col, 0))
             continue
         col = np.asarray(col)
-        fields.extend(_field(c) for c in (col.T if col.ndim == 2 else [col]))
-    width = len(fields)
-    rows = len(fields[0][1])
-    flat = [None] * (rows * width)
-    for j, (_, items) in enumerate(fields):
-        flat[j::width] = items
-    line = ",".join(fmt for fmt, _ in fields) + "\n"
-    Path(path).write_text(header + "\n" + (line * rows) % tuple(flat))
+        for c in col.T if col.ndim == 2 else [col]:
+            if np.issubdtype(c.dtype, np.integer) and (
+                c.size == 0 or -_EXACT_INT < c.min() and c.max() < _EXACT_INT
+            ):
+                fmt = "%d"
+            else:
+                fmt, c = "%.12g", c.astype(float, copy=False)
+            keys.append((fmt, len(groups[fmt])))
+            groups[fmt].append(c)
+    numbers = {fmt: _Numbers(fmt, np.column_stack(cols)) for fmt, cols in groups.items() if cols}
+    columns = [(numbers[key] if isinstance(key, str) else key, j) for key, j in keys]
+    with open(path, "wb") as f:
+        f.write(header.encode())
+        f.writelines(_text(columns, "\n" + "," * (len(columns) - 1)))
+        f.write(b"\n")
 
 
 def write_profile_csv(path, profile) -> None:
@@ -251,8 +484,8 @@ def write_curve_csv(path, curve) -> None:
 def write_front_csv(path, front, s=None) -> None:
     """Front samples with per-sample regularity signs.
 
-    ``s`` is the arc-length column already formatted (`write_front_csvs`
-    passes it); by default it is formatted from ``front.s``.
+    ``s`` is the arc-length column as a `_SharedColumn` (`write_front_csvs`
+    passes it); by default it is ``front.s``.
     """
     if front.points.shape[1] == 2:
         cols = "s,x,y"
@@ -266,13 +499,13 @@ def write_front_csvs(out, fronts) -> None:
     """``front_000.csv``, ``front_001.csv``, ... in directory ``out``, one per front.
 
     Fronts of one curve share their base's arc-length array; each run of
-    fronts with the same array formats it once.
+    fronts with the same array formats its cells once.
     """
-    shared = text = None
+    shared = column = None
     for i, front in enumerate(fronts):
         if front.s is not shared:
-            shared, text = front.s, _formatted(front.s)
-        write_front_csv(Path(out) / f"front_{i:03d}.csv", front, text)
+            shared, column = front.s, _SharedColumn(front.s)
+        write_front_csv(Path(out) / f"front_{i:03d}.csv", front, column)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +571,12 @@ def _fit(points: np.ndarray, size: int, pad: float):
 
 
 def _polyline(xs, ys, color: str, width: float = 1.5) -> str:
-    closed = np.column_stack([np.append(xs, xs[0]), np.append(ys, ys[0])])
-    pts = ("%.2f,%.2f " * len(closed)) % tuple(closed.ravel().tolist())
+    points = _Numbers("%.2f", np.column_stack([xs, ys]))
+    pts = b"".join(_text([(points, 0), (points, 1)], " ,")).decode()
+    # closed: the first point again at the end
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
-        f'points="{pts[:-1]}"/>'
+        f'points="{pts[1:]} {pts.split(" ", 2)[1]}"/>'
     )
 
 

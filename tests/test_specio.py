@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ovalfront import (
@@ -26,7 +28,9 @@ from ovalfront import (
     unit_circle,
     validate_curve_spec,
 )
-from ovalfront import specio
+from ovalfront import cli, specio
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def spec_doc(**kw):
@@ -292,8 +296,8 @@ def test_table_writer_matches_per_value_format(tmp_path):
     specio._write_table(path, header, *columns)
     assert path.read_text() == per_value_csv(header, columns)
 
-    # an already formatted column prints as given
-    s = [f"{v:.12g}" for v in x.tolist()]
+    # a shared column prints as its values do
+    s = specio._SharedColumn(x)
     specio._write_table(path, "s,b,c,regularity", s, np.column_stack(columns[1:3]), regularity)
     assert path.read_text() == per_value_csv("s,b,c,regularity", (x, *columns[1:4]))
 
@@ -308,6 +312,163 @@ def test_table_writer_matches_per_value_format_on_any_floats(tmp_path_factory, t
     header = ",".join("c%d" % j for j in range(table.shape[1]))
     specio._write_table(path, header, *table.T)
     assert path.read_text() == per_value_csv(header, table.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-(2**63), 2**63 - 1), st.integers(-128, 127), st.floats()),
+                max_size=12))
+@example([(2**63 - 1, -128, 0.0), (10**12, 127, -0.0)])
+@example([(10**12 - 1, 0, 1e-4), (1 - 10**12, -1, float("nan"))])
+@example([(-(2**63), 1, 1e12)])
+@example([])
+def test_table_writer_integer_rule_on_any_int64(tmp_path_factory, rows):
+    # %d where every |v| < 1e12, else %.12g of the float; int8 columns too
+    big, small, x = (np.array([r[i] for r in rows], dtype=t)
+                     for i, t in enumerate((np.int64, np.int8, float)))
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    specio._write_table(path, "big,small,x", big, small, x)
+    assert path.read_text() == per_value_csv("big,small,x", (big, small, x))
+
+
+def test_table_writer_zero_rows_and_blocks(tmp_path):
+    path = tmp_path / "t.csv"
+    specio._write_table(path, "s,x,y,regularity", np.zeros(0), np.zeros((0, 2)),
+                        np.zeros(0, dtype=np.int8))
+    assert path.read_text() == "s,x,y,regularity\n"
+
+    # three row blocks, a 2-D block between two shared columns, a zero per block
+    rng = np.random.default_rng(3)
+    n = 2 * specio._BLOCK_ROWS + 7
+    s, x, y = rng.standard_normal((3, n)) * np.array([[1.0], [1e3], [1e-3]])
+    x[::1000] = 0.0
+    block, ints = np.column_stack([x, y]), rng.integers(-5, 5, n)
+    specio._write_table(path, "s,x,y,i,t", specio._SharedColumn(s), block, ints,
+                        specio._SharedColumn(-s))
+    assert path.read_text() == per_value_csv("s,x,y,i,t", (s, x, y, ints, -s))
+
+
+# ---------------------------------------------------------------------------
+# number cells: each format against one Python % per value
+
+
+def cell_text(fmt, values, seps) -> str:
+    """The cell writer's text of an (n, k) array; each value follows its column's separator."""
+    num = specio._Numbers(fmt, values)
+    return b"".join(specio._text([(num, j) for j in range(values.shape[1])], seps)).decode()
+
+
+def per_value_text(fmt, values, seps) -> str:
+    return "".join(sep + fmt % v for row in values.tolist() for sep, v in zip(seps, row))
+
+
+def assert_cells_match_percent(fmt, values):
+    seps = "\n" + "," * (values.shape[1] - 1)
+    want = per_value_text(fmt, values, seps)
+    assert cell_text(fmt, values, seps) == want
+    with mock.patch.object(specio, "_BLOCK_ROWS", 3):  # several blocks, slow rows in any
+        assert cell_text(fmt, values, seps) == want
+
+
+def blocks(elements, dtype):
+    return st.integers(1, 3).flatmap(
+        lambda k: st.lists(st.lists(elements, min_size=k, max_size=k), max_size=20)
+        .map(lambda rows: np.array(rows, dtype=dtype).reshape(-1, k))
+    )
+
+
+def column(values, dtype=float):
+    return np.array(values, dtype=dtype)[:, None]
+
+
+# fast-path edges: zero, non-finite, subnormal, the fixed-point exponent range
+# [-4, 11] and values that round across its ends, near ties
+G_EDGES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-4, 9.99999999999995e-05,
+           -9.99999999999995e-05, 9.9999999999995, 999999999999.5, 1e12, 1e12 - 1, 1 - 1e12,
+           -0.001, 0.5, 1.0, 10.0, 0.1 + 0.2, 1 / 3, 2.0**53 + 2.0, 0.00713597]
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks(st.one_of(st.floats(), st.floats(-1e13, 1e13), st.floats(-1e-3, 1e-3)), float))
+@example(column(G_EDGES))
+@example(np.array([*G_EDGES, -2.5]).reshape(-1, 3))
+@example(np.zeros((0, 2)))
+def test_g_cells_match_percent(values):
+    assert_cells_match_percent("%.12g", values)
+
+
+# ties k/8, a negative that rounds to -0.00, the end of the fast range at 1e4
+F2_EDGES = [k / 8 for k in range(-24, 25)] + [
+    0.0, -0.0, -0.001, 0.005, -0.005, 9999.995, 9999.994, 9999.996, 1e4, -1e4, 1e300,
+    5e-324, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks(st.one_of(st.floats(), st.floats(-2e4, 2e4)), float))
+@example(column(F2_EDGES))
+@example(column(F2_EDGES[::-1]).reshape(-1, 2))
+def test_f2_cells_match_percent(values):
+    assert_cells_match_percent("%.2f", values)
+
+
+D_EDGES = [0, 1, -1, 9, 10, -10, 9999, 10000, -10000, 10**8 - 1, 10**8, 10**12 - 1, 1 - 10**12]
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks(st.integers(1 - 10**12, 10**12 - 1), np.int64))
+@example(column(D_EDGES, np.int64))
+@example(column([-128, -1, 0, 1, 127], np.int8))
+def test_d_cells_match_percent(values):
+    assert_cells_match_percent("%d", values)
+
+
+def test_digit_tables_are_decimal_digits():
+    assert specio._QUAD_TEXT.view(np.uint8).tobytes() == "".join(
+        "%04d" % i for i in range(10000)).encode()
+    assert specio._POINT_TEXT.view(np.uint8).tobytes() == "".join(
+        ".%03d" % i for i in range(1000)).encode()
+    quads = ["%04d" % i for i in range(10000)]
+    assert specio._QUAD_ZEROS.tolist() == [len(q) - len(q.rstrip("0")) for q in quads]
+    assert specio._QUAD_DIGITS.tolist() == [len("%d" % i) for i in range(10000)]
+
+
+def per_value_table(path, header: str, *columns) -> None:
+    """`specio._write_table` with one ``%.12g`` per value: the reference format."""
+    flat = []
+    for col in columns:
+        col = col.values[:, 0] if isinstance(col, specio._SharedColumn) else np.asarray(col)
+        flat.extend(col.T if col.ndim == 2 else [col])
+    Path(path).write_text(per_value_csv(header, flat))
+
+
+def per_value_polyline(xs, ys, color: str, width: float = 1.5) -> str:
+    """`specio._polyline` with one ``%.2f`` per coordinate: the reference format."""
+    closed = np.column_stack([np.append(xs, xs[0]), np.append(ys, ys[0])])
+    pts = ("%.2f,%.2f " * len(closed)) % tuple(closed.ravel().tolist())
+    return (
+        f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
+        f'points="{pts[:-1]}"/>'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["propagate", "--input", str(GOLDEN / "oval_spec.json"), "--samples", "4096",
+          "--t=-1.5:0.5:0.1", "--format", "csv,svg"],
+         [*(f"front_{i:03d}.csv" for i in range(21)), "propagate_fronts.svg"]),
+        (["counterexample", "--r", "2", "--samples", "4096", "--format", "csv,svg"],
+         ["counterexample_curve.csv", "counterexample_curve.svg"]),
+    ],
+    ids=["propagate", "counterexample"],
+)
+def test_workload_scale_exports_match_per_value_formats(tmp_path, monkeypatch, argv, names):
+    cells, reference = tmp_path / "cells", tmp_path / "reference"
+    assert cli.main([*argv, "--out", str(cells)]) == cli.EXIT_PASS
+    monkeypatch.setattr(specio, "_write_table", per_value_table)
+    monkeypatch.setattr(specio, "_polyline", per_value_polyline)
+    assert cli.main([*argv, "--out", str(reference)]) == cli.EXIT_PASS
+    for name in names:
+        assert (cells / name).read_bytes() == (reference / name).read_bytes(), name
 
 
 def test_jsonable_conversions():
