@@ -17,12 +17,13 @@ mean?) lives here for the same reason.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 from scipy.optimize import brentq
 
 from . import _kernels as kernels
@@ -139,7 +140,17 @@ class SampledCurve:
         """``k(param)``: :attr:`curv_fn` when known, else a periodic spline built once."""
         if self.curv_fn is not None:
             return self.curv_fn
-        return periodic_interpolant(_param(self), np.asarray(self.k), float(self.period))
+        return self.interpolant(self.k)
+
+    @cached_property
+    def _spline_grid(self) -> "_SplineGrid":
+        """The periodic spline system of the parameter grid, factored once per curve."""
+        p = _param(self)
+        return _SplineGrid(np.append(p, p[0] + self.period), periodic=True)
+
+    def interpolant(self, values: np.ndarray) -> Callable:
+        """Periodic spline of per-sample ``values``, (n,) or (n, d), over the parameter."""
+        return periodic_interpolant(_param(self), values, self.period, self._spline_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +311,24 @@ class CrossingReport:
     touches: np.ndarray  # (k, 2) parameter intervals that touch the mean
 
 
-def periodic_interpolant(param: np.ndarray, values: np.ndarray, period: float):
-    """Periodic cubic spline through one period of samples, (n,) or (n, d)."""
-    p = np.append(param, param[0] + period)
-    v = np.concatenate([values, values[:1]])
-    spline = CubicSpline(p, v, bc_type="periodic")
-    lo = param[0]
+def periodic_interpolant(param: np.ndarray, values: np.ndarray, period: float, grid=None):
+    """Periodic cubic spline through one period of samples, (n,) or (n, d).
+
+    Equal, float for float, to SciPy's periodic cubic spline through the
+    samples and the first one again at ``param[0] + period``.
+    ``grid`` is that knot grid's :class:`_SplineGrid` when the caller keeps
+    one (a curve and its fronts share theirs); otherwise one is built here.
+    """
+    if grid is None:
+        grid = _SplineGrid(np.append(param, param[0] + period), periodic=True)
+    v = np.asarray(values, dtype=float)
+    spline = grid.spline(np.concatenate([v, v[:1]]))
+    lo, period = float(param[0]), float(period)
 
     def fn(x):
-        return spline(lo + np.mod(x - lo, period))
+        if not isinstance(x, float):
+            x = np.asarray(x, dtype=float)
+        return spline(lo + (x - lo) % period)
 
     return fn
 
@@ -485,11 +505,28 @@ def check_unit_speed(points: np.ndarray, spacing: float, form: SpaceForm,
         raise BadParametrizationError(f"speed deviates from 1 by {err:.3g}")
 
 
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product a x b of float 3-vectors over the last axis, broadcast.
+
+    The products and differences are those ``np.cross`` forms, in its
+    order, so the floats are the same; its axis handling is left out.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def _triple(form: SpaceForm, points, d1, d2) -> np.ndarray:
     """det[x, x', x''] per sample; the plane is embedded as (x, y, 1)."""
     if form.K == 0:
         return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    return np.einsum("ij,ij->i", np.cross(points, d1), d2)
+    return np.einsum("ij,ij->i", cross3(points, d1), d2)
 
 
 def unit_speed_curvature(points: np.ndarray, spacing: float, form: SpaceForm):
@@ -586,7 +623,11 @@ class Front:
     @cached_property
     def curvature_fn(self) -> Callable:
         """``k(param)`` as a periodic spline through the measured :attr:`k`."""
-        return periodic_interpolant(self.param, np.asarray(self.k), float(self.period))
+        return self.interpolant(self.k)
+
+    def interpolant(self, values: np.ndarray) -> Callable:
+        """Periodic spline of per-sample ``values`` on the parameter grid it keeps from its base."""
+        return self.base.interpolant(values)
 
     @cached_property
     def _stencil(self):
@@ -693,7 +734,7 @@ def sweep_fronts(curve: SampledCurve, fronts: Iterable[Front]):
         if stars is None or skipped[-1] or not stars.size:
             devs.append(np.nan)
             continue
-        kfn = periodic_interpolant(front.s, front.k, front.period)
+        kfn = front.curvature_fn
         kbar_t = (TWO_PI - K * front.area) / front.signed_length
         vals = np.asarray(kfn(stars), dtype=float)
         devs.append(float(np.max(np.abs(vals - kbar_t))))
@@ -716,6 +757,183 @@ def mean_attainment_front_check(curve: SampledCurve, t_values: Sequence[float]) 
     curvature_profile(curve)
     fronts = (propagate_front(curve, t) for t in t_values)
     return sweep_fronts(curve, fronts)[1]
+
+
+# ---------------------------------------------------------------------------
+# cubic splines
+#
+# _SplineGrid and _Spline give the floats of SciPy's cubic spline
+# interpolant (periodic and not-a-knot) as its PPoly base evaluates it.
+# The band rows, the right-hand sides, the periodic condensation and the
+# Hermite coefficients are those of SciPy's interpolate/_cubic.py,
+# operation for operation (SciPy, BSD-3-Clause; Copyright (c) 2001-2002
+# Enthought, Inc. and 2003-2024 SciPy Developers).  The tridiagonal solves are LAPACK's:
+# dgtsv, as scipy.linalg.solve_banded calls it, for a one-off system, and
+# for a periodic grid dgttrf once plus dgttrs per value set, which run
+# dgtsv's eliminations and row interchanges in the same order (Anderson et
+# al., LAPACK Users' Guide, ?gtsv, ?gttrf, ?gttrs).
+
+
+class _SplineGrid:
+    """The knots of a cubic spline and the part of its slope system they fix.
+
+    A periodic grid factors SciPy's condensed (n-2)-row system once and
+    solves its correction system (SciPy's ``s2``) once, so each value set
+    costs one dgttrs; the values' last sample must repeat the first.  A
+    not-a-knot grid solves each value set with dgtsv.
+    """
+
+    def __init__(self, x: np.ndarray, periodic: bool):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or len(x) < 4 + periodic:  # LAPACK's dgttrf needs 3 rows
+            raise ValueError("a cubic spline needs 4 knots, a periodic one 5")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("`x` must contain only finite values.")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("`x` must be strictly increasing sequence.")
+        self.x, self.dx, self.periodic = x, dx, periodic
+        self.span = float(x[-1] - x[0])
+        if not periodic:
+            return
+        m = len(x) - 2
+        d = np.empty(m)
+        d[0] = 2 * (dx[-1] + dx[0])
+        d[1:] = 2 * (dx[:m - 1] + dx[1:m])
+        du = np.concatenate([dx[-1:], dx[:m - 2]])
+        dl, d, du, du2, ipiv, info = dgttrf(dx[1:m], d, du)
+        if info:
+            raise np.linalg.LinAlgError("singular matrix")
+        self._lu = dl, d, du, du2, ipiv
+        b2 = np.zeros((m, 1))
+        b2[0] = -dx[0]
+        b2[-1] = -dx[-3]
+        s2, info = dgttrs(*self._lu, b2)
+        self._s2 = s2 = s2.ravel()
+        self._den = 2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]
+
+    @cached_property
+    def _knots(self) -> list:
+        """The knots as Python floats, for the scalar path."""
+        return self.x.tolist()
+
+    def spline(self, y: np.ndarray) -> "_Spline":
+        """The spline through values ``y``, (n,) or (n, d), at the knots."""
+        y = np.asarray(y, dtype=float)
+        if len(y) != len(self.x):
+            raise ValueError("one value per knot is needed")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("`y` must contain only finite values.")
+        x, dx = self.x, self.dx
+        n = len(x)
+        # SciPy's expressions, evaluated in place where that keeps each float
+        dxr = dx.reshape([dx.shape[0]] + [1] * (y.ndim - 1))
+        slope = np.diff(y, axis=0)
+        slope /= dxr
+        if self.periodic:
+            m = n - 2
+            b = np.empty((m,) + y.shape[1:])
+            b[0] = 3 * (dxr[0] * slope[-1] + dxr[-1] * slope[0])
+            _interior_rows(dxr, slope, b[1:])
+            b_last = 3 * (dxr[-1] * slope[-2] + dxr[-2] * slope[-1])
+            s1, info = dgttrs(*self._lu, b.reshape(m, -1), overwrite_b=1)
+            s1 = s1.reshape(b.shape)
+            s_m1 = (b_last - dx[-2] * s1[0] - dx[-1] * s1[-1]) / self._den
+            s = np.empty(y.shape)
+            np.multiply(self._s2.reshape(dxr[:m].shape), s_m1, out=s[:-2])
+            s[:-2] += s1
+            s[-2] = s_m1
+            s[-1] = s[0]
+        else:
+            d = np.empty(n)
+            np.add(dx[:-1], dx[1:], out=d[1:-1])
+            d[1:-1] *= 2
+            du = np.empty(n - 1)
+            du[1:] = dx[:-1]
+            dl = np.empty(n - 1)
+            dl[:-1] = dx[1:]
+            b = np.empty(y.shape)
+            _interior_rows(dxr, slope, b[1:-1])
+            d[0] = dx[1]
+            du[0] = x[2] - x[0]
+            w = x[2] - x[0]
+            b[0] = ((dxr[0] + 2 * w) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / w
+            d[-1] = dx[-2]
+            dl[-1] = x[-1] - x[-3]
+            w = x[-1] - x[-3]
+            b[-1] = (dxr[-1]**2 * slope[-2] + (2 * w + dxr[-1]) * dxr[-2] * slope[-1]) / w
+            _, _, _, s, info = dgtsv(dl, d, du, b.reshape(n, -1), overwrite_dl=1, overwrite_d=1,
+                                     overwrite_du=1, overwrite_b=1)
+            s = s.reshape(y.shape)
+        if info:
+            raise np.linalg.LinAlgError("singular matrix")
+        return _Spline(self, y, slope, s)
+
+
+def _interior_rows(dxr: np.ndarray, slope: np.ndarray, out: np.ndarray) -> None:
+    """SciPy's rows 3 (dx[i] slope[i-1] + dx[i-1] slope[i]), i = 1, 2, ..., into ``out``."""
+    k = len(out)
+    np.multiply(dxr[1:k + 1], slope[:k], out=out)
+    out += dxr[:k] * slope[1:k + 1]
+    out *= 3
+
+
+class _Spline:
+    """A cubic spline on a :class:`_SplineGrid`, evaluated as SciPy's PPoly does.
+
+    Each query reads the Hermite coefficients of its own interval only.  A
+    periodic spline maps queries into its period; a not-a-knot spline
+    extends its end pieces.  ``nu = 1`` gives the derivative.
+    """
+
+    def __init__(self, grid: _SplineGrid, y: np.ndarray, slope: np.ndarray, s: np.ndarray):
+        self.grid, self.y, self.slope, self.s = grid, y, slope, s
+
+    def __call__(self, x, nu: int = 0):
+        if nu == 0 and self.y.ndim == 1 and isinstance(x, float):
+            return self._scalar(float(x))
+        grid = self.grid
+        knots = grid.x
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        if grid.periodic:
+            flat = knots[0] + (flat - knots[0]) % grid.span
+        i = np.clip(np.searchsorted(knots, flat, side="right") - 1, 0, len(knots) - 2)
+        z = flat - knots[i]
+        h, m, s0, s1 = grid.dx[i], self.slope[i], self.s[i], self.s[i + 1]
+        if self.y.ndim == 2:
+            z, h = z[:, None], h[:, None]
+        t = (s0 + s1 - 2 * m) / h
+        c0 = t / h
+        c1 = (m - s0) / h - t
+        if nu == 0:
+            out = (((0.0 + self.y[i]) + s0 * z) + c1 * (z * z)) + c0 * (z * z * z)
+        elif nu == 1:
+            out = ((0.0 + s0) + c1 * 2.0 * z) + c0 * 3.0 * (z * z)
+        else:
+            raise ValueError("only the value and the first derivative are evaluated")
+        if grid.periodic:
+            # PPoly evaluates the mapped query without extrapolation
+            outside = ~((flat >= knots[0]) & (flat <= knots[-1]))
+            if outside.any():
+                out[outside] = np.nan
+        return out.reshape(x.shape + self.y.shape[1:])
+
+    def _scalar(self, x: float) -> float:
+        """One value in Python floats: brentq asks for one point per step."""
+        grid = self.grid
+        knots = grid._knots
+        if grid.periodic:
+            x = knots[0] + (x - knots[0]) % grid.span
+            if not knots[0] <= x <= knots[-1]:
+                return float("nan")
+        i = min(max(bisect_right(knots, x) - 1, 0), len(knots) - 2)
+        z = x - knots[i]
+        h, m = grid.dx.item(i), self.slope.item(i)
+        s0 = self.s.item(i)
+        t = (s0 + self.s.item(i + 1) - 2 * m) / h
+        zz = z * z
+        return (((0.0 + self.y.item(i)) + s0 * z) + ((m - s0) / h - t) * zz) + (t / h) * (zz * z)
 
 
 # ---------------------------------------------------------------------------
@@ -743,12 +961,13 @@ def arclength_resample(point_fn, n_samples: int, speed_fn):
     """
     m = RESAMPLE_OVERSAMPLE * n_samples
     u = np.arange(m) * (TWO_PI / m)
-    vel = np.asarray(speed_fn(u), dtype=float)
-    if np.any(vel <= 0.0):
-        raise BadParametrizationError("parametrization speed must stay positive")
+    with np.errstate(over="ignore", invalid="ignore"):  # the gate refuses what overflows
+        vel = np.asarray(speed_fn(u), dtype=float)
+    if not np.all((vel > 0.0) & (vel < np.inf)):
+        raise BadParametrizationError("parametrization speed must stay positive and finite")
     s_dense = fourier_antiderivative(vel)
     total = float(vel.mean()) * TWO_PI
-    u_of_s = CubicSpline(np.append(s_dense, total), np.append(u, TWO_PI))
+    u_of_s = _SplineGrid(np.append(s_dense, total), periodic=False).spline(np.append(u, TWO_PI))
     s = np.arange(n_samples) * (total / n_samples)
     params = np.asarray(u_of_s(s), dtype=float)
     params[0] = 0.0
@@ -814,14 +1033,13 @@ def closed_spline_through(points: np.ndarray, form: SpaceForm = PLANE):
         raise BadParametrizationError("repeated consecutive points")
     u = np.concatenate([[0.0], np.cumsum(chord)])
     u *= TWO_PI / u[-1]
-    spline = CubicSpline(u, closed, bc_type="periodic")
-    dspline = spline.derivative()
+    spline = _SplineGrid(u, periodic=True).spline(closed)
 
     def point_fn(t):
         return spline(np.mod(t, TWO_PI))
 
     def speed_fn(t):
-        return form.norm(dspline(np.mod(t, TWO_PI)))
+        return form.norm(spline(np.mod(t, TWO_PI), nu=1))
 
     return point_fn, speed_fn
 

@@ -38,6 +38,7 @@ from .curves import (
     Front,
     SampledCurve,
     SpaceForm,
+    cross3,
     curvature_profile,
     harmonic_radius,
     mean_attainment_front_check,
@@ -80,7 +81,7 @@ def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def mcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minkowski cross product: <mcross(a,b), c> = det[a, b, c]."""
-    e = np.cross(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    e = cross3(a, b)
     e[..., 0] = -e[..., 0]
     return e
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import EUCLIDEAN, HYPERBOLIC, SPHERICAL, periodic_interpolant
+from .curves import EUCLIDEAN, HYPERBOLIC, SPHERICAL
 from .errors import BadParametrizationError, FrenetBreakdownError, SpecFormatError
 from .hyperbolic import (
     RoundedSemicircleSpec,
@@ -591,7 +591,7 @@ def write_plane_svg(path, fronts) -> None:
         body.append(_polyline(xs, ys, palette[idx % len(palette)]))
         cusps = getattr(f, "cusps", None)
         if cusps is not None and len(cusps):
-            at = periodic_interpolant(f.param, f.points, float(f.period))
+            at = f.interpolant(f.points)
             px, py = to_px(at(np.asarray(cusps, dtype=float)))
             body.extend(
                 '<circle cx="%.2f" cy="%.2f" r="3.5" fill="#000000"/>' % c

@@ -30,6 +30,7 @@ from .curves import (
     SampledCurve,
     SpaceForm,
     count_mean_crossings,
+    cross3,
     euclidean_dot,
     harmonic_radius,
     polar_circle,
@@ -134,7 +135,7 @@ def spherical_area_fan(points: np.ndarray, apex: np.ndarray) -> float:
     """Signed spherical area as a fan of triangle excesses from ``apex``."""
     b = points
     c = np.roll(points, -1, axis=0)
-    num = np.einsum("j,ij->i", apex, np.cross(b, c))
+    num = np.einsum("j,ij->i", apex, cross3(b, c))
     den = 1.0 + b @ apex + np.einsum("ij,ij->i", b, c) + c @ apex
     return float(np.sum(2.0 * np.arctan2(num, den)))
 
@@ -150,7 +151,7 @@ SPHERE = SPACE_FORMS[SPHERICAL] = SpaceForm(
     c=np.cos,
     s=np.sin,
     dot=euclidean_dot,
-    cross=np.cross,
+    cross=cross3,
     front_anchor=lambda points, curve: curve.anchor,
     front_area=_front_area,
     polar=lambda th, phi: np.column_stack(
@@ -320,7 +321,7 @@ def equatorial_front(curve: SphereCurve) -> EquatorialReport:
             crossing_params=np.empty(0),
         )
     profile = CurvatureProfile(
-        values=kf, mean=0.0, param=front.s, period=front.period, fn=None
+        values=kf, mean=0.0, param=front.s, period=front.period, fn=front.curvature_fn
     )
     report = count_mean_crossings(profile)
     return EquatorialReport(
@@ -435,10 +436,11 @@ def total_torsion(curve: SphereCurve) -> TorsionReport:
     speed = np.linalg.norm(d1, axis=1)
     if float(np.max(np.abs(speed - 1.0))) > SPEED_TOL:
         raise BadParametrizationError("torsion needs unit-speed samples")
-    kappa_sq = np.einsum("ij,ij->i", np.cross(d1, d2), np.cross(d1, d2))
+    binormal = cross3(d1, d2)
+    kappa_sq = np.einsum("ij,ij->i", binormal, binormal)
     if float(np.min(kappa_sq)) < FRENET_TOL**2:
         raise FrenetBreakdownError("space curvature vanishes on the grid")
-    tau = np.einsum("ij,ij->i", np.cross(d1, d2), d3) / kappa_sq
+    tau = np.einsum("ij,ij->i", binormal, d3) / kappa_sq
     integral = float(np.sum(tau) * spacing)
     sigma = np.linalg.svd(curve.points - curve.points.mean(axis=0), compute_uv=False)
     if sigma[2] <= PLANARITY_TOL * sigma[0]:

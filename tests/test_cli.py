@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, artifacts, env overrides, goldens."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -178,6 +179,30 @@ def test_malformed_spec_exits_2(tmp_path, capsys, field, value):
     spec = write_spec(tmp_path, {**WAVY_OVAL, field: value})
     assert main(["analyze", "--input", spec, "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+@pytest.mark.parametrize(
+    "doc",
+    [{"geometry": "hyperbolic", "representation": "hyperbolic_circle", "rho": 800,
+      "harmonics": [[2, 0.04, 0.3]], "n_samples": 256},
+     {**WAVY_SPHERE, "harmonics": [[2, 1e300, 0.3]], "n_samples": 256}],
+    ids=["hyperbolic-rho-800", "sphere-amplitude-1e300"],
+)
+def test_overflowing_speed_exits_2_with_one_line(tmp_path, capsys, command, doc):
+    # sinh(800) and (1e300)^2 overflow the parametrization speed
+    code = main([command, "--input", write_spec(tmp_path, doc), "--out", str(tmp_path)])
+    assert code == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: parametrization speed must stay positive and finite"]
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    code = "import sys, ovalfront.cli; print('scipy.interpolate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_invalid_json_exits_2(tmp_path):
