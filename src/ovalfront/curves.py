@@ -17,7 +17,6 @@ mean?) lives here for the same reason.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -323,12 +322,10 @@ def periodic_interpolant(param: np.ndarray, values: np.ndarray, period: float, g
         grid = _SplineGrid(np.append(param, param[0] + period), periodic=True)
     v = np.asarray(values, dtype=float)
     spline = grid.spline(np.concatenate([v, v[:1]]))
-    lo, period = float(param[0]), float(period)
+    lo = param[0]
 
     def fn(x):
-        if not isinstance(x, float):
-            x = np.asarray(x, dtype=float)
-        return spline(lo + (x - lo) % period)
+        return spline(lo + np.mod(x - lo, period))
 
     return fn
 
@@ -779,14 +776,16 @@ class _SplineGrid:
 
     A periodic grid factors SciPy's condensed (n-2)-row system once and
     solves its correction system (SciPy's ``s2``) once, so each value set
-    costs one dgttrs; the values' last sample must repeat the first.  A
-    not-a-knot grid solves each value set with dgtsv.
+    costs one dgttrs; 4 knots solve their 2 rows with dgtsv, and 3 knots
+    take SciPy's closed form.  The values' last sample must repeat the
+    first.  A not-a-knot grid solves each value set with dgtsv.
     """
 
     def __init__(self, x: np.ndarray, periodic: bool):
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or len(x) < 4 + periodic:  # LAPACK's dgttrf needs 3 rows
-            raise ValueError("a cubic spline needs 4 knots, a periodic one 5")
+        if x.ndim != 1 or len(x) < 4 - periodic:
+            raise ValueError("a cubic spline needs 4 knots here, a periodic one 3 "
+                             "(SciPy's cubic spline also takes fewer)")
         if not np.all(np.isfinite(x)):
             raise ValueError("`x` must contain only finite values.")
         dx = np.diff(x)
@@ -794,28 +793,31 @@ class _SplineGrid:
             raise ValueError("`x` must be strictly increasing sequence.")
         self.x, self.dx, self.periodic = x, dx, periodic
         self.span = float(x[-1] - x[0])
-        if not periodic:
+        if not periodic or len(x) == 3:
             return
         m = len(x) - 2
         d = np.empty(m)
         d[0] = 2 * (dx[-1] + dx[0])
         d[1:] = 2 * (dx[:m - 1] + dx[1:m])
         du = np.concatenate([dx[-1:], dx[:m - 2]])
-        dl, d, du, du2, ipiv, info = dgttrf(dx[1:m], d, du)
-        if info:
-            raise np.linalg.LinAlgError("singular matrix")
-        self._lu = dl, d, du, du2, ipiv
+        self._band, self._lu = (dx[1:m], d, du), None
+        if m > 2:  # SciPy's dgttrf wrapper refuses a 2-row system
+            dl, d, du, du2, ipiv, info = dgttrf(*self._band)
+            if info:
+                raise np.linalg.LinAlgError("singular matrix")
+            self._lu = dl, d, du, du2, ipiv
         b2 = np.zeros((m, 1))
         b2[0] = -dx[0]
         b2[-1] = -dx[-3]
-        s2, info = dgttrs(*self._lu, b2)
+        s2, info = self._solve(b2)
         self._s2 = s2 = s2.ravel()
         self._den = 2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]
 
-    @cached_property
-    def _knots(self) -> list:
-        """The knots as Python floats, for the scalar path."""
-        return self.x.tolist()
+    def _solve(self, b: np.ndarray):
+        """``(s, info)`` of the condensed periodic system for the (m, k) right-hand sides ``b``."""
+        if self._lu is None:
+            return dgtsv(*self._band, b)[3:]
+        return dgttrs(*self._lu, b, overwrite_b=1)
 
     def spline(self, y: np.ndarray) -> "_Spline":
         """The spline through values ``y``, (n,) or (n, d), at the knots."""
@@ -830,13 +832,18 @@ class _SplineGrid:
         dxr = dx.reshape([dx.shape[0]] + [1] * (y.ndim - 1))
         slope = np.diff(y, axis=0)
         slope /= dxr
-        if self.periodic:
+        info = 0
+        if self.periodic and n == 3:
+            # SciPy's closed form: one slope for all three knots
+            s = np.empty(y.shape)
+            s[:] = (slope / dxr).sum(0) / (1. / dxr).sum(0)
+        elif self.periodic:
             m = n - 2
             b = np.empty((m,) + y.shape[1:])
             b[0] = 3 * (dxr[0] * slope[-1] + dxr[-1] * slope[0])
             _interior_rows(dxr, slope, b[1:])
             b_last = 3 * (dxr[-1] * slope[-2] + dxr[-2] * slope[-1])
-            s1, info = dgttrs(*self._lu, b.reshape(m, -1), overwrite_b=1)
+            s1, info = self._solve(b.reshape(m, -1))
             s1 = s1.reshape(b.shape)
             s_m1 = (b_last - dx[-2] * s1[0] - dx[-1] * s1[-1]) / self._den
             s = np.empty(y.shape)
@@ -890,8 +897,6 @@ class _Spline:
         self.grid, self.y, self.slope, self.s = grid, y, slope, s
 
     def __call__(self, x, nu: int = 0):
-        if nu == 0 and self.y.ndim == 1 and isinstance(x, float):
-            return self._scalar(float(x))
         grid = self.grid
         knots = grid.x
         x = np.asarray(x, dtype=float)
@@ -918,22 +923,6 @@ class _Spline:
             if outside.any():
                 out[outside] = np.nan
         return out.reshape(x.shape + self.y.shape[1:])
-
-    def _scalar(self, x: float) -> float:
-        """One value in Python floats: brentq asks for one point per step."""
-        grid = self.grid
-        knots = grid._knots
-        if grid.periodic:
-            x = knots[0] + (x - knots[0]) % grid.span
-            if not knots[0] <= x <= knots[-1]:
-                return float("nan")
-        i = min(max(bisect_right(knots, x) - 1, 0), len(knots) - 2)
-        z = x - knots[i]
-        h, m = grid.dx.item(i), self.slope.item(i)
-        s0 = self.s.item(i)
-        t = (s0 + self.s.item(i + 1) - 2 * m) / h
-        zz = z * z
-        return (((0.0 + self.y.item(i)) + s0 * z) + ((m - s0) / h - t) * zz) + (t / h) * (zz * z)
 
 
 # ---------------------------------------------------------------------------

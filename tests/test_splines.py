@@ -33,7 +33,7 @@ def assert_same_floats(actual, expected):
 @st.composite
 def spline_cases(draw):
     periodic = draw(st.booleans())
-    n = draw(st.integers(5 if periodic else 4, 40))
+    n = draw(st.integers(3 if periodic else 4, 40))
     if draw(st.booleans()):  # uniform, as the curves' parameter grids
         start = draw(st.floats(-10.0, 10.0))
         x = start + np.arange(n) * draw(st.floats(1e-3, 2.0))
@@ -64,13 +64,27 @@ def test_spline_is_scipy_cubic_spline_float_for_float(case):
     spline = _SplineGrid(x, periodic).spline(y)
     assert_same_floats(spline(queries), expected(queries))
     assert_same_floats(spline(queries, nu=1), expected.derivative()(queries))
-    for q in queries[::3].tolist():  # the scalar path
+    for q in queries[::3].tolist():  # Python floats, as brentq asks
         assert_same_floats(spline(q), expected(q))
         assert_same_floats(spline(q, nu=1), expected.derivative()(q))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_small_periodic_grids_are_scipy_cubic_spline(n):
+    # 3 knots take SciPy's closed form, 4 knots a 2-row condensed solve
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.1, 1.0, n))
+    y = rng.normal(size=(n, 2))
+    y[-1] = y[0]
+    queries = np.concatenate([np.linspace(x[0] - 1.0, x[-1] + 1.0, 41), x])
+    expected = CubicSpline(x, y, bc_type="periodic")
+    spline = _SplineGrid(x, periodic=True).spline(y)
+    assert_same_floats(spline(queries), expected(queries))
+    assert_same_floats(spline(queries, nu=1), expected.derivative()(queries))
+
+
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(4, 64), columns=st.sampled_from([None, 2, 3]),
+@given(n=st.integers(2, 64), columns=st.sampled_from([None, 2, 3]),
        data=st.data())
 def test_periodic_interpolant_keeps_its_scipy_values(n, columns, data):
     param = np.arange(n) * (TWO_PI / n)
@@ -91,11 +105,20 @@ def test_periodic_interpolant_keeps_its_scipy_values(n, columns, data):
             assert_same_floats(shared(q), expected(param[0] + np.mod(q - param[0], period)))
 
 
-@pytest.mark.parametrize("knots", [[0.0, 1.0, 1.0, 2.0, 3.0], [0.0, 1.0, np.inf, 4.0, 5.0],
-                                   [0.0, 1.0, 2.0, 3.0]])
-def test_spline_grid_refuses_what_cubic_spline_refuses(knots):
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("knots", [[0.0, 1.0, 1.0, 2.0, 3.0], [0.0, 1.0, np.inf, 4.0, 5.0]])
+def test_spline_grid_refuses_what_cubic_spline_refuses(knots, periodic):
     with pytest.raises(ValueError):
-        _SplineGrid(np.array(knots), periodic=True)
+        CubicSpline(knots, np.zeros(len(knots)), bc_type="periodic" if periodic else "not-a-knot")
+    with pytest.raises(ValueError):
+        _SplineGrid(np.array(knots), periodic)
+
+
+@pytest.mark.parametrize("knots, periodic", [([0.0, 1.0], True), ([0.0, 1.0, 2.0], False)])
+def test_spline_grid_refuses_grids_smaller_than_its_solves(knots, periodic):
+    # CubicSpline makes these a constant or a parabola; this spline does not
+    with pytest.raises(ValueError, match="also takes fewer"):
+        _SplineGrid(np.array(knots), periodic)
 
 
 def test_spline_refuses_non_finite_values():
