@@ -436,8 +436,8 @@ def _integrate_profile(knots, values):
     nodes, h, k_nodes, slopes = _subdivide(knots, values, counts)
     frames = np.empty((len(nodes) + 1, 3, 3))
     frames[0] = x0, t0, mcross(t0, x0)
-    for j, step in enumerate(_propagators(h, k_nodes, slopes)):
-        frames[j + 1] = step @ frames[j]
+    for step, before, after in zip(_propagators(h, k_nodes, slopes), frames[:-1], frames[1:]):
+        np.matmul(step, before, out=after)
 
     def frames_at(s):
         # one partial step from the node at or before each s
@@ -534,6 +534,8 @@ def build_rounded_semicircle(spec: RoundedSemicircleSpec) -> HyperbolicCurve:
 
     Each shot carries the frame with closed-form so(2,1) exponentials: one
     exact step per constant piece, fourth-order Magnus steps on the ramps.
+    The solver's shots are kept for the length of one build, so each
+    distinct (half_flat, half_arc) vector is integrated once.
     Each sample is one partial step from the step node before it, so it sits
     on the hyperboloid to roundoff as integrated.  ``build_residual`` is the
     closure gap of the full loop; ``gb_residual`` compares the exact total
@@ -544,12 +546,20 @@ def build_rounded_semicircle(spec: RoundedSemicircleSpec) -> HyperbolicCurve:
     r, c, eps = spec.r, spec.corner_scale, spec.flat_deviation
     _corner_peak(r, c, eps)  # validate early
     guess = np.array([max(r - c, 0.1), max(0.5 * np.pi * np.sinh(r) - c, 0.1)])
+    shots = {}
+
+    def residual(v):
+        # hybr evaluates some vectors more than once (the guess three times);
+        # a shot depends on the exact floats only, so each is integrated once
+        key = v.tobytes()
+        if key not in shots:
+            shots[key] = _shoot_half(r, c, eps, v)
+        return shots[key].copy()
+
     # shots at huge r overflow to inf or NaN, which the residual gate rejects;
     # hybr returns the shot at its solution as sol.fun
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = root(
-            lambda v: _shoot_half(r, c, eps, v), guess, method="hybr", options={"xtol": 1e-12}
-        )
+        sol = root(residual, guess, method="hybr", options={"xtol": 1e-12})
         resid = float(np.linalg.norm(sol.fun))
     if not resid <= 5e-10:  # a NaN residual fails too
         raise NumericalFailureError(f"corner shooting failed to close (residual {resid:.3g})")

@@ -13,9 +13,14 @@ from ovalfront.populations import (
     torsion_test_curves,
 )
 
-# `pytest --hypothesis-profile=ci`: the same examples on every run, whatever a
-# local example database holds; each test keeps its own max_examples
+# the same examples on every run, whatever a local example database holds;
+# each test keeps its own max_examples.  `ci` is the default, so Tier-1 is
+# deterministic; `pytest --hypothesis-profile=explore` draws random examples
+# and replays the local database instead.
 settings.register_profile("ci", derandomize=True, database=None)
+settings.register_profile("explore")
+if settings.get_current_profile_name() == "default":
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -263,10 +263,16 @@ def test_semicircle_closes_on_the_hyperboloid(r):
     assert np.max(np.abs(mdot(x, tvec))) <= 1e-10
 
 
-@pytest.mark.parametrize("r", [0.9, 2.0])
+# distinct shots per solve; hybr makes 8 and 9 residual calls, the first
+# three all at the guess
+SEMICIRCLE_SHOTS = {0.9: 6, 2.0: 7}
+
+
+@pytest.mark.parametrize("r", sorted(SEMICIRCLE_SHOTS))
 def test_semicircle_gates_on_the_solvers_own_residual(r, monkeypatch):
     # the closure gate reads hybr's sol.fun: after the solve, only the
-    # final build integrates the frame
+    # final build integrates the frame; during it, each distinct vector
+    # hybr passes is integrated once
     calls = []
     solves = []
     integrate = hyperbolic._integrate_profile
@@ -276,19 +282,58 @@ def test_semicircle_gates_on_the_solvers_own_residual(r, monkeypatch):
         calls.append(1)
         return integrate(*args)
 
-    def counted_root(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        solves.append((sol, len(calls)))
+    def counted_root(fun, x0, **kwargs):
+        vectors = set()
+
+        def recorded(v):
+            vectors.add(v.tobytes())
+            return fun(v)
+
+        sol = solve(recorded, x0, **kwargs)
+        solves.append((sol, len(calls), len(vectors)))
         return sol
 
     monkeypatch.setattr(hyperbolic, "_integrate_profile", counted_integrate)
     monkeypatch.setattr(hyperbolic, "root", counted_root)
     curve = build_rounded_semicircle(RoundedSemicircleSpec(r=r, n_samples=256))
-    [(sol, during_solve)] = solves
-    assert during_solve >= sol.nfev
+    [(sol, during_solve, distinct)] = solves
+    assert during_solve == distinct == SEMICIRCLE_SHOTS[r]
+    assert distinct < sol.nfev
     assert len(calls) == during_solve + 1
     assert float(np.linalg.norm(sol.fun)) <= 5e-10
     assert curve.build_residual < 1e-10
+
+
+def _reference_integrate(knots, values):
+    """The frame loop with one allocated product per step, kept as the reference."""
+    counts = np.where(
+        values[1:] != values[:-1], hyperbolic._parts(knots, values, hyperbolic.MAGNUS_STEP), 1
+    )
+    nodes, h, k_nodes, slopes = hyperbolic._subdivide(knots, values, counts)
+    x0, t0 = hyperbolic._START_STATE[0:3], hyperbolic._START_STATE[3:6]
+    frames = np.empty((len(nodes) + 1, 3, 3))
+    frames[0] = x0, t0, hyperbolic.mcross(t0, x0)
+    for j, step in enumerate(hyperbolic._propagators(h, k_nodes, slopes)):
+        frames[j + 1] = step @ frames[j]
+
+    def frames_at(s):
+        j = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 1)
+        return hyperbolic._propagators(s - nodes[j], k_nodes[j], slopes[j]) @ frames[j]
+
+    return frames[-1, 0:2].ravel(), frames_at
+
+
+# no golden covers these radii
+@pytest.mark.parametrize("r", [0.9, 1.6])
+def test_integrate_profile_matches_the_reference_loop(r):
+    c, eps = 0.02, 0.05
+    lengths = max(r - c, 0.1), 0.5 * np.pi * np.sinh(r) - c
+    knots, values = hyperbolic._half_profile(r, c, eps, *lengths)
+    y_end, frames_at = hyperbolic._integrate_profile(knots, values)
+    ref_end, ref_at = _reference_integrate(knots, values)
+    s = np.linspace(0.0, knots[-1], 1001)
+    assert y_end.tobytes() == ref_end.tobytes()
+    assert frames_at(s).tobytes() == ref_at(s).tobytes()
 
 
 def test_semicircle_builds_without_numpy2_api(monkeypatch):
