@@ -33,6 +33,7 @@ from .curves import (
     SPHERICAL,
     TWO_PI,
     average_curvature,
+    critical_time,
     curvature_profile,
     defect_value,
     gauss_bonnet_residual,
@@ -45,14 +46,12 @@ from .errors import (
     BadParametrizationError,
     DegenerateProfileError,
     InvalidSpecError,
-    NotHorocyclicallyConvexError,
     NumericalFailureError,
     OvalfrontError,
 )
 from .harmonics import spectrum, verify_sturm_hurwitz
 from .hyperbolic import (
     RoundedSemicircleSpec,
-    collapse_front,
     counterexample_threshold,
     counterexample_verdict,
     propagate_hyperbolic,
@@ -67,7 +66,7 @@ from .sphere import (
     total_torsion,
 )
 from .support import closure_residual
-from .wavefront import critical_front, propagate, propagation_lemma_check, steiner_check
+from .wavefront import propagate, propagation_lemma_check, steiner_check
 
 EXIT_PASS = 0
 EXIT_THEOREM_FAIL = 1
@@ -391,6 +390,26 @@ def _add_defect_check(suite: _Suite, curve, defects, tol: float) -> None:
     suite.add("defect_invariance", bool(spread < tol), relative_spread=spread)
 
 
+def _add_critical_front(suite: _Suite, curve, tol: float, name: str, record_t=False) -> None:
+    """The front at :func:`critical_time`: zero signed length and at least four cusps.
+
+    Its cusps sit where k equals its mean.  A circle, whose front collapses
+    to a point, is skipped with its signed length.
+    """
+    t = critical_time(curve)
+    front = _front_for(curve, t)
+    try:
+        curvature_profile(curve)
+    except DegenerateProfileError:
+        suite.add(name, None, note="circle collapses to a point",
+                  signed_length=front.signed_length)
+        return
+    count = len(front.cusps)
+    suite.add(name, bool(abs(front.signed_length) < tol and count >= 4),
+              **({"t": t} if record_t else {}),
+              signed_length=front.signed_length, cusp_count=count)
+
+
 def _default_t_grid(curve):
     if curve.geometry == EUCLIDEAN:
         # keep |t k| away from 1 on the negative side for lemma checks
@@ -450,17 +469,7 @@ def _verify_euclidean(curve, tol: float, t_values) -> _Suite:
     )
 
     _add_front_checks(suite, curve, tol, t_values)
-
-    try:
-        crit = critical_front(curve)
-        suite.add(
-            "critical_front",
-            bool(abs(crit.front.signed_length) < tol and crit.count >= 4),
-            signed_length=crit.front.signed_length,
-            cusp_count=crit.count,
-        )
-    except DegenerateProfileError:
-        suite.add("critical_front", None, note="circle collapses to a point")
+    _add_critical_front(suite, curve, tol, "critical_front")
     return suite
 
 
@@ -536,22 +545,7 @@ def _verify_hyperbolic(curve, tol: float, t_values) -> _Suite:
             suite.add("mean_attainment", None, note="constant curvature")
         return suite
 
-    try:
-        collapse = collapse_front(curve)
-        if collapse.degenerate:
-            suite.add("collapse_front", None, note="circle collapses to a point",
-                      signed_length=collapse.signed_length)
-        else:
-            suite.add(
-                "collapse_front",
-                bool(abs(collapse.signed_length) < tol and collapse.cusp_count >= 4),
-                t=collapse.t,
-                signed_length=collapse.signed_length,
-                cusp_count=collapse.cusp_count,
-            )
-    except NotHorocyclicallyConvexError:
-        suite.add("collapse_front", None, note="not horocyclically convex")
-
+    _add_critical_front(suite, curve, tol, "collapse_front", record_t=True)
     _add_front_checks(suite, curve, tol, t_values, semigroup_times=(0.11, 0.17))
     return suite
 

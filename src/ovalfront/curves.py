@@ -167,9 +167,11 @@ class SpaceForm:
     e_z for the plane at z = 1).  ``front_anchor(points, curve)`` is the
     area anchor (pole or centre) a front of ``curve`` takes from it and keeps
     for its own fronts; ``front_area(points, anchor, period)`` is the
-    enclosed area of front samples about it.  ``polar(r, phi)`` is the
-    point at distance r and angle phi from the model's centre (the north
-    pole, the hyperboloid vertex); the plane builds no polar curves.
+    enclosed area of front samples about it.  ``critical_time(L, b)`` is the
+    t < 0 where L c_K(t) + b s_K(t) vanishes, b = 2 pi - K A.  ``polar(r,
+    phi)`` is the point at distance r and angle phi from the model's centre
+    (the north pole, the hyperboloid vertex); the plane builds no polar
+    curves.
     """
 
     geometry: str
@@ -180,6 +182,7 @@ class SpaceForm:
     cross: Callable
     front_anchor: Callable
     front_area: Callable
+    critical_time: Callable[[float, float], float]
     polar: Optional[Callable] = None
 
     def norm(self, v: np.ndarray) -> np.ndarray:
@@ -239,6 +242,7 @@ PLANE = SpaceForm(
     cross=lambda v, x: np.column_stack([v[:, 1], -v[:, 0]]),
     front_anchor=lambda points, curve: None,
     front_area=lambda points, anchor, period: parametric_area(points, period),
+    critical_time=lambda length, b: -(length / b),
 )
 
 # geometry tag -> SpaceForm; sphere.py and hyperbolic.py add K = +1 and -1
@@ -257,6 +261,19 @@ def average_curvature(curve: SampledCurve) -> float:
     if curve.L <= 0.0:
         raise ValueError("curve has non-positive length")
     return (TWO_PI - space_form(curve.geometry).K * curve.A) / curve.L
+
+
+def critical_time(curve: SampledCurve) -> float:
+    """The time t* < 0 where the signed front length L c_K + (2pi - K A) s_K vanishes.
+
+    The cusps of the front at t* sit exactly where k equals its mean
+    (2pi - K A)/L: at least four of them on a convex curve (a horocyclically
+    convex one when K = -1), none on a circle, which collapses to a point.
+    The hyperbolic time raises :class:`CothDomainError` when the mean is at
+    most 1.
+    """
+    form = space_form(curve.geometry)
+    return form.critical_time(curve.L, TWO_PI - form.K * curve.A)
 
 
 def defect_value(geometry: str, length: float, area: float) -> float:

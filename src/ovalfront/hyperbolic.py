@@ -10,9 +10,10 @@ equidistant propagation stay polynomial in the samples:
 Geodesic curvature classifies the local shape: k > 1 circle-like,
 k = 1 horocycle-like, k < 1 equidistant-like.  Closed convex curves with
 k > 1 everywhere (horocyclically convex) collapse under inward propagation
-at t = -arccoth((2 pi + A)/L) with at least four cusps; the rounded
-semicircle built here is convex but not horocyclically convex and attains
-its mean curvature only twice.
+at t = -arccoth((2 pi + A)/L), the time :func:`~ovalfront.curves.critical_time`
+gives, with at least four cusps; the rounded semicircle built here is
+convex but not horocyclically convex and attains its mean curvature only
+twice.
 
 That semicircle is built from its curvature profile, which is piecewise
 linear in arc length.  Its frame (x, T, nu) obeys a linear equation with
@@ -41,7 +42,6 @@ from .curves import (
     cross3,
     curvature_profile,
     harmonic_radius,
-    mean_attainment_front_check,
     polar_circle,
     polar_curve,
     propagate_front,
@@ -51,7 +51,6 @@ from .curves import (
 from .errors import (
     BadParametrizationError,
     CothDomainError,
-    DegenerateProfileError,
     InvalidSpecError,
     NotHorocyclicallyConvexError,
     NumericalFailureError,
@@ -155,6 +154,14 @@ def _front_area(points: np.ndarray, center: np.ndarray, period: float) -> float:
     return hyperbolic_area_green(points, center, period / len(points))
 
 
+def _collapse_time(length: float, b: float) -> float:
+    """t = -arccoth(kbar), kbar = b/L = (2 pi + A)/L: the front collapses there."""
+    kbar = b / length
+    if kbar <= 1.0 + 1e-12:
+        raise CothDomainError(f"mean curvature {kbar:.6g} <= 1: no collapse time")
+    return float(-0.5 * np.log((kbar + 1.0) / (kbar - 1.0)))
+
+
 HYPERBOLOID = SPACE_FORMS[HYPERBOLIC] = SpaceForm(
     geometry=HYPERBOLIC,
     K=-1,
@@ -164,6 +171,7 @@ HYPERBOLOID = SPACE_FORMS[HYPERBOLIC] = SpaceForm(
     cross=mcross,
     front_anchor=_front_anchor,
     front_area=_front_area,
+    critical_time=_collapse_time,
     polar=lambda r, phi: np.column_stack(
         [np.cosh(r), np.sinh(r) * np.cos(phi), np.sinh(r) * np.sin(phi)]
     ),
@@ -249,19 +257,14 @@ def _first_cusp_time(k: np.ndarray) -> float:
     return -float(np.arctanh(1.0 / top))
 
 
-def propagate_hyperbolic(curve, t: float, force: bool = False) -> Front:
+def propagate_hyperbolic(curve, t: float) -> Front:
     """Front at signed distance t along the outward conormal field.
 
     Non-horocyclically-convex input is accepted for t >= 0 and for
     negative t up to the first cusp onset; beyond that the closed forms
-    stop describing the front and the call refuses unless ``force``.
+    stop describing the front and the call refuses.
+    :func:`~ovalfront.curves.propagate_front` is the unguarded front.
     """
-    if not force:
-        _refuse_past_cusp_onset(curve, t)
-    return propagate_front(curve, t)
-
-
-def _refuse_past_cusp_onset(curve, t: float) -> None:
     k = np.asarray(curve.k, dtype=float)
     onset = _first_cusp_time(k)
     if not np.min(k) > 1.0 + HOROCYCLIC_MARGIN and t < onset:
@@ -269,67 +272,7 @@ def _refuse_past_cusp_onset(curve, t: float) -> None:
             f"t = {t:.6g} lies past the first cusp onset at t = {onset:.6g}; "
             "negative-time propagation beyond it needs a horocyclically convex curve"
         )
-
-
-def mean_attainment_front_check_h(curve, t_values: Sequence[float]):
-    """:func:`mean_attainment_front_check` behind :func:`propagate_hyperbolic`'s guard.
-
-    Raises :class:`NotHorocyclicallyConvexError` when any time lies past the
-    first cusp onset of a curve that is not horocyclically convex.
-    """
-    ts = list(t_values)
-    for t in ts:
-        _refuse_past_cusp_onset(curve, t)
-    return mean_attainment_front_check(curve, ts)
-
-
-@dataclass(frozen=True, eq=False)
-class CollapseReport:
-    front: Front
-    t: float
-    mean_curvature: float
-    signed_length: float
-    degenerate: bool
-    cusp_count: Optional[int]
-    cusp_params: np.ndarray
-    passed: Optional[bool]
-
-
-def collapse_front(curve: HyperbolicCurve, force: bool = False) -> CollapseReport:
-    """Propagate to t = -arccoth((2 pi + A)/L), where signed length vanishes.
-
-    Cusps of the collapse front sit exactly at the base parameters where
-    k equals the mean curvature; closed convex curves with k > 1 have at
-    least four.  The report counts the front's own cusps.  Circles (a
-    degenerate curvature profile) collapse to a point and report degenerate.
-    A curve that is not horocyclically convex is refused unless ``force``,
-    which also lifts :func:`propagate_hyperbolic`'s cusp-onset guard.
-    """
-    if not curve.horocyclic_convex and not force:
-        raise NotHorocyclicallyConvexError(
-            "collapse time is defined for horocyclically convex curves"
-        )
-    kbar = (TWO_PI + curve.A) / curve.L
-    if kbar <= 1.0 + 1e-12:
-        raise CothDomainError(f"mean curvature {kbar:.6g} <= 1: no collapse time")
-    t = -0.5 * np.log((kbar + 1.0) / (kbar - 1.0))
-    front = propagate_hyperbolic(curve, t, force=force)
-    try:
-        curvature_profile(curve)
-        degenerate = False
-    except DegenerateProfileError:
-        degenerate = True
-    count = None if degenerate else len(front.cusps)
-    return CollapseReport(
-        front=front,
-        t=float(t),
-        mean_curvature=float(kbar),
-        signed_length=front.signed_length,
-        degenerate=degenerate,
-        cusp_count=count,
-        cusp_params=np.empty(0) if degenerate else front.cusps,
-        passed=None if degenerate else count >= 4,
-    )
+    return propagate_front(curve, t)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .curves import (
     SPEED_TOL,
     SPHERICAL,
     TWO_PI,
+    CrossingReport,
     CurvatureProfile,
     Front,
     SampledCurve,
@@ -41,7 +42,6 @@ from .curves import (
 )
 from .errors import (
     BadParametrizationError,
-    DegenerateProfileError,
     FrenetBreakdownError,
     InvalidSpecError,
     NotBisectingError,
@@ -154,6 +154,7 @@ SPHERE = SPACE_FORMS[SPHERICAL] = SpaceForm(
     cross=cross3,
     front_anchor=lambda points, curve: curve.anchor,
     front_area=_front_area,
+    critical_time=lambda length, b: -float(np.arctan(length / b)),
     polar=lambda th, phi: np.column_stack(
         [np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)]
     ),
@@ -297,6 +298,20 @@ class EquatorialReport:
     crossing_params: np.ndarray
 
 
+def _inflections(k, param, period, fn) -> Optional[CrossingReport]:
+    """Zero crossings of a geodesic curvature profile; ``None`` when max|k| <= 1e-6.
+
+    The crossing band is relative to the profile amplitude, so a pure-noise
+    profile (a great circle, an equatorial front of a circle) needs this
+    absolute floor.
+    """
+    if float(np.max(np.abs(k))) <= 1e-6:
+        return None
+    return count_mean_crossings(
+        CurvatureProfile(values=k, mean=0.0, param=param, period=period, fn=fn)
+    )
+
+
 def equatorial_front(curve: SphereCurve) -> EquatorialReport:
     """Propagate to t = atan((2 pi - A)/L), where the front bisects area.
 
@@ -310,27 +325,14 @@ def equatorial_front(curve: SphereCurve) -> EquatorialReport:
     kf = front.k
     if np.any(~np.isfinite(kf)):
         raise BadParametrizationError("equatorial front is not regular")
-    top = float(np.max(np.abs(kf)))
-    if top <= 1e-6:
-        return EquatorialReport(
-            front=front,
-            t=t,
-            area_gap=abs(front.area - TWO_PI),
-            degenerate=True,
-            inflections=None,
-            crossing_params=np.empty(0),
-        )
-    profile = CurvatureProfile(
-        values=kf, mean=0.0, param=front.s, period=front.period, fn=front.curvature_fn
-    )
-    report = count_mean_crossings(profile)
+    report = _inflections(kf, front.s, front.period, front.curvature_fn)
     return EquatorialReport(
         front=front,
         t=t,
         area_gap=abs(front.area - TWO_PI),
-        degenerate=False,
-        inflections=report.count,
-        crossing_params=report.crossings,
+        degenerate=report is None,
+        inflections=None if report is None else report.count,
+        crossing_params=np.empty(0) if report is None else report.crossings,
     )
 
 
@@ -389,18 +391,8 @@ def tennis_ball_check(curve: SphereCurve, area_tol: float = 1e-6) -> TennisBallR
     """
     if abs(curve.A - TWO_PI) > area_tol:
         raise NotBisectingError(f"|A - 2pi| = {abs(curve.A - TWO_PI):.3g} > {area_tol:.3g}")
-    # the crossing band is relative to the profile amplitude, so a pure-noise
-    # profile (great circle) needs an absolute floor here, as in equatorial_front
-    if float(np.max(np.abs(curve.k))) <= 1e-6:
-        return TennisBallReport(
-            degenerate=True, inflections=None, crossing_params=np.empty(0), passed=None
-        )
-    profile = CurvatureProfile(
-        values=curve.k, mean=0.0, param=curve.s, period=curve.L, fn=curve.curv_fn
-    )
-    try:
-        report = count_mean_crossings(profile)
-    except DegenerateProfileError:
+    report = _inflections(curve.k, curve.s, curve.L, curve.curv_fn)
+    if report is None:
         return TennisBallReport(
             degenerate=True, inflections=None, crossing_params=np.empty(0), passed=None
         )

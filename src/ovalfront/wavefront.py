@@ -28,12 +28,10 @@ from .curves import (
     propagate_front,
     steiner_closed_form,
 )
-from .errors import AtCuspError, DegenerateProfileError, NotContainedError
+from .errors import AtCuspError, NotContainedError
 
 # Parameter guard band around cusps inside which curvature is refused.
 CUSP_GUARD = 1e-6
-# Relative band for detecting a circle (constant curvature radius).
-DEGENERATE_TOL = 1e-7
 
 
 def propagate(curve: SampledCurve, t: float) -> Front:
@@ -118,38 +116,6 @@ def isoperimetric_defect(curve: SampledCurve, t: float = 0.0) -> float:
         return defect_value(EUCLIDEAN, curve.L, curve.A)
     f = propagate(curve, t)
     return defect_value(EUCLIDEAN, f.signed_length, f.area)
-
-
-@dataclass(frozen=True, eq=False)
-class CriticalFrontResult:
-    front: Front
-    t_star: float
-    cusp_params: np.ndarray
-    attainment_params: np.ndarray
-    count: int
-
-
-def critical_front(curve: SampledCurve):
-    """Front at t* = -L/2pi, where the signed length vanishes.
-
-    Cusps of this front sit exactly at the parameters where the curvature
-    equals its mean 2 pi / L.  Raises :class:`DegenerateProfileError` for
-    circles, whose critical front collapses to a point.
-    """
-    radius = 1.0 / curve.k
-    rbar = curve.L / TWO_PI
-    if float(np.max(np.abs(radius - rbar))) <= DEGENERATE_TOL * rbar:
-        raise DegenerateProfileError("circle: critical front collapses to a point")
-    t_star = -rbar
-    front = propagate(curve, t_star)
-    profile = curvature_profile(curve)
-    return CriticalFrontResult(
-        front=front,
-        t_star=t_star,
-        cusp_params=front.cusps,
-        attainment_params=profile.crossing_params,
-        count=len(front.cusps),
-    )
 
 
 def propagation_lemma_check(curve: SampledCurve, t_values: Sequence[float]) -> LemmaReport:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ovalfront.populations import (
+from populations import (
     DEFAULT_SEED,
     random_hyperbolic_ovals,
     random_perturbed_sphere_circles,

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateSamplingError, OvalfrontError
-from .hyperbolic import HyperbolicCurve, perturbed_hyperbolic_circle
-from .sphere import SphereCurve, perturbed_sphere_circle, tennis_seam
-from .support import SupportOval, build_oval
+from ovalfront.errors import DegenerateSamplingError, OvalfrontError
+from ovalfront.hyperbolic import perturbed_hyperbolic_circle
+from ovalfront.sphere import SphereCurve, perturbed_sphere_circle, tennis_seam
+from ovalfront.support import SupportOval, build_oval
 
 DEFAULT_SEED = 1786
 MAX_DRAWS_PER_CURVE = 100  # draws allowed per requested curve before giving up

@@ -142,7 +142,7 @@ def test_front_mean_curvature_attainment(
             generic_oval, list(np.linspace(-0.1, 1.0, 11))).max_deviation,
         "spherical": ov.mean_attainment_front_check(
             generic_sphere_curve, list(np.linspace(-0.2, 0.4, 11))).max_deviation,
-        "hyperbolic": ov.mean_attainment_front_check_h(
+        "hyperbolic": ov.mean_attainment_front_check(
             generic_hyperbolic_curve, list(np.linspace(-0.25, 0.5, 11))).max_deviation,
     }
     worst = max(deviations.values())
@@ -156,13 +156,14 @@ def test_front_mean_curvature_attainment(
 
 
 def test_vanishing_fronts_have_four_cusps(oval_population, hyperbolic_population):
-    crit = [ov.critical_front(c) for c in oval_population]
-    crit_len = max(abs(r.front.signed_length) for r in crit)
-    crit_cusps = min(r.count for r in crit)
+    # each front at its critical time, where the signed length vanishes
+    crit = [ov.propagate(c, ov.critical_time(c)) for c in oval_population]
+    crit_len = max(abs(f.signed_length) for f in crit)
+    crit_cusps = min(len(f.cusps) for f in crit)
 
-    coll = [ov.collapse_front(c) for c in hyperbolic_population]
-    coll_len = max(abs(r.signed_length) for r in coll)
-    coll_cusps = min(r.cusp_count for r in coll)
+    coll = [ov.propagate_hyperbolic(c, ov.critical_time(c)) for c in hyperbolic_population]
+    coll_len = max(abs(f.signed_length) for f in coll)
+    coll_cusps = min(len(f.cusps) for f in coll)
 
     ok = (crit_len < 1e-6 and crit_cusps >= 4
           and coll_len < 1e-6 and coll_cusps >= 4)

@@ -387,6 +387,23 @@ def test_verify_circle_skips_degenerate_checks(tmp_path):
     assert status["critical_front"] is None
     assert status["defect_invariance"] is True
     assert report["passed"] is True
+    critical = report["checks"][-1]
+    assert critical["name"] == "critical_front"
+    assert critical["note"] == "circle collapses to a point"
+    assert abs(critical["signed_length"]) < 1e-12
+
+
+@pytest.mark.parametrize("spec, name", [("oval", "critical_front"),
+                                        ("hyperbolic", "collapse_front")])
+def test_verify_fails_a_front_off_the_critical_time(tmp_path, monkeypatch, spec, name):
+    # 0.01 past the critical time the signed front length no longer vanishes
+    monkeypatch.setattr(cli, "critical_time", lambda curve: curves.critical_time(curve) + 0.01)
+    code = main(["verify", "--input", str(GOLDEN / f"{spec}_spec.json"), "--out", str(tmp_path)])
+    assert code == EXIT_THEOREM_FAIL
+    report = read_report(tmp_path, "verify_report.json")
+    assert [c["name"] for c in report["checks"] if c["passed"] is False] == [name]
+    [check] = [c for c in report["checks"] if c["name"] == name]
+    assert abs(check["signed_length"]) > 1e-3
 
 
 def test_verify_reports_honest_failure_at_low_resolution(tmp_path):

@@ -4,6 +4,7 @@ import gc
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from ovalfront import (
     BadParametrizationError,
     DegenerateProfileError,
     SampledCurve,
-    collapse_front,
+    build_curve,
     count_mean_crossings,
+    critical_time,
     curvature_profile,
     ellipse_oval,
     hyperbolic_circle,
+    load_curve_spec,
     perturbed_hyperbolic_circle,
     perturbed_sphere_circle,
     propagate,
@@ -308,6 +311,10 @@ def _past_first_cusp(curve):
     return front
 
 
+def _critical_front(curve):
+    return propagate_front(curve, critical_time(curve))
+
+
 def _collapsed_run(front):
     # twenty samples pinned to one point: zero stencil speed inside the run
     points = front.points.copy()
@@ -318,10 +325,9 @@ def _collapsed_run(front):
 @pytest.mark.parametrize(
     "make_front, cusp_samples",
     [
-        (lambda: collapse_front(perturbed_hyperbolic_circle(1.1, [[2, 0.04, 0.3]], 1024)).front,
-         0),
+        (lambda: _critical_front(perturbed_hyperbolic_circle(1.1, [[2, 0.04, 0.3]], 1024)), 0),
         (lambda: _past_first_cusp(perturbed_sphere_circle(0.7, [[3, 0.01, 0.4]], 1024)), 0),
-        (lambda: collapse_front(hyperbolic_circle(0.8, n_samples=256)).front, 256),
+        (lambda: _critical_front(hyperbolic_circle(0.8, n_samples=256)), 256),
         (lambda: _collapsed_run(propagate_front(sphere_circle(0.6, n_samples=256), 0.2)), 16),
     ],
     ids=["hyperbolic-collapse", "sphere-past-cusp", "circle-collapse", "pinned-run"],
@@ -337,6 +343,28 @@ def test_front_measures_k_and_normal_like_the_masked_formula(make_front, cusp_sa
     assert normal.tobytes() == want_normal.tobytes()
     assert np.count_nonzero(np.isnan(k)) == cusp_samples
     assert front.k is k and front.normal is normal
+
+
+def _golden_curve(name):
+    return build_curve(load_curve_spec(Path(__file__).parent / "golden" / f"{name}_spec.json"))
+
+
+def test_critical_time_is_the_per_geometry_formula():
+    # -L/2pi in the plane and -arccoth((2pi + A)/L) on the hyperboloid, float for float
+    oval = _golden_curve("oval")
+    assert critical_time(oval) == -(oval.L / (2.0 * np.pi))
+    curve = _golden_curve("hyperbolic")
+    kbar = (2.0 * np.pi + curve.A) / curve.L
+    assert critical_time(curve) == -0.5 * np.log((kbar + 1.0) / (kbar - 1.0))
+
+
+def test_sphere_critical_front_has_its_cusps_at_the_attainment_set():
+    curve = _golden_curve("sphere")
+    front = propagate_front(curve, critical_time(curve))
+    assert abs(front.signed_length) < 1e-8
+    stars = curvature_profile(curve).crossing_params
+    assert len(front.cusps) == len(stars) == 6
+    np.testing.assert_allclose(front.cusps, stars, rtol=0.0, atol=1e-12)
 
 
 def test_plane_fronts_measure_nothing():

@@ -9,15 +9,16 @@ from ovalfront import hyperbolic
 from ovalfront import (
     BadParametrizationError,
     CothDomainError,
+    DegenerateProfileError,
     HYPERBOLIC,
     InvalidSpecError,
     NotHorocyclicallyConvexError,
     RoundedSemicircleSpec,
     build_rounded_semicircle,
     classify_curvature,
-    collapse_front,
     counterexample_threshold,
     counterexample_verdict,
+    critical_time,
     curvature_profile,
     defect_value,
     gauss_bonnet_residual,
@@ -25,8 +26,9 @@ from ovalfront import (
     hyperbolic_area_green,
     hyperbolic_circle,
     hyperbolic_curve_from_points,
-    mean_attainment_front_check_h,
+    mean_attainment_front_check,
     perturbed_hyperbolic_circle,
+    propagate_front,
     propagate_hyperbolic,
     semicircle_mean_gap,
     semicircle_reference,
@@ -153,7 +155,7 @@ def test_propagation_semigroup():
 
 
 def test_mean_attainment_under_propagation(wavy):
-    report = mean_attainment_front_check_h(wavy, [-0.1, 0.1, 0.3])
+    report = mean_attainment_front_check(wavy, [-0.1, 0.1, 0.3])
     assert not report.skipped.any()
     assert report.max_deviation < 1e-8
 
@@ -163,59 +165,51 @@ def test_mean_attainment_under_propagation(wavy):
 
 
 def test_circle_collapse_is_degenerate():
-    report = collapse_front(hyperbolic_circle(0.9))
-    assert report.degenerate
-    assert report.passed is None
-    assert report.t == pytest.approx(-0.9, abs=1e-10)
-    assert abs(report.signed_length) < 1e-8
+    circle = hyperbolic_circle(0.9)
+    t = critical_time(circle)
+    assert t == pytest.approx(-0.9, abs=1e-10)
+    assert abs(propagate_hyperbolic(circle, t).signed_length) < 1e-8
+    with pytest.raises(DegenerateProfileError):
+        curvature_profile(circle)
 
 
 @pytest.mark.parametrize("n", [4096, 8192])
 def test_circle_collapse_on_fine_grids_has_no_cusps(n):
     # at the collapse time cosh t + k sinh t is roundoff whose sampled sign
     # flips; the constant curvature function confirms no cusp between them
-    report = collapse_front(hyperbolic_circle(0.8, n_samples=n))
-    assert report.degenerate
-    assert report.front.cusps.size == 0
-    assert abs(report.signed_length) < 1e-8
+    circle = hyperbolic_circle(0.8, n_samples=n)
+    front = propagate_hyperbolic(circle, critical_time(circle))
+    assert front.cusps.size == 0
+    assert abs(front.signed_length) < 1e-8
 
 
 def test_collapse_cusps_at_mean_attainment(wavy):
-    report = collapse_front(wavy)
-    assert not report.degenerate
-    assert report.passed
-    assert report.cusp_count >= 4
-    assert abs(report.signed_length) < 1e-7
-    # the check counts the collapse front's own cusps
-    assert len(report.front.cusps) == report.cusp_count
-    np.testing.assert_array_equal(report.cusp_params, report.front.cusps)
+    front = propagate_hyperbolic(wavy, critical_time(wavy))
+    assert len(front.cusps) >= 4
+    assert abs(front.signed_length) < 1e-7
     # front cusps solve cosh t + k sinh t = 0, i.e. k = -coth t = mean
     np.testing.assert_allclose(
-        report.front.cusps, curvature_profile(wavy).crossing_params, atol=1e-9
+        front.cusps, curvature_profile(wavy).crossing_params, atol=1e-9
     )
 
 
 def test_collapse_requires_horocyclic_convexity(semicircle_r2):
-    with pytest.raises(NotHorocyclicallyConvexError):
-        collapse_front(semicircle_r2)
-    # forcing does not help at r = 2: the mean curvature sits below 1
+    # at r = 2 the mean curvature sits below 1: there is no collapse time
     with pytest.raises(CothDomainError):
-        collapse_front(semicircle_r2, force=True)
-
-
-def test_forced_collapse_below_threshold_radius():
+        critical_time(semicircle_r2)
+    # below the threshold radius there is one, but it lies past the first
+    # cusp onset; only the unguarded front reaches it
     curve = build_rounded_semicircle(RoundedSemicircleSpec(r=0.5, n_samples=1024))
-    report = collapse_front(curve, force=True)
-    assert report.cusp_count == 4
+    t = critical_time(curve)
+    with pytest.raises(NotHorocyclicallyConvexError):
+        propagate_hyperbolic(curve, t)
+    assert propagate_front(curve, t).cusps.size == 4
 
 
 def test_backward_propagation_gating(semicircle_r2):
     with pytest.raises(NotHorocyclicallyConvexError):
         propagate_hyperbolic(semicircle_r2, -0.2)
-    with pytest.raises(NotHorocyclicallyConvexError):
-        mean_attainment_front_check_h(semicircle_r2, [0.1, -0.2])
-    forced = propagate_hyperbolic(semicircle_r2, -0.2, force=True)
-    assert forced.cusps.size >= 4
+    assert propagate_front(semicircle_r2, -0.2).cusps.size >= 4
     # forward motion of a convex curve is always regular
     assert propagate_hyperbolic(semicircle_r2, 0.3).cusps.size == 0
 

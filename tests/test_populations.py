@@ -3,7 +3,7 @@
 import pytest
 
 from ovalfront import DegenerateSamplingError
-from ovalfront.populations import MAX_DRAWS_PER_CURVE, random_support_ovals
+from populations import MAX_DRAWS_PER_CURVE, random_support_ovals
 
 # (L, A) of the first and last member of each session population, seed 1786
 FIRST_LAST = {

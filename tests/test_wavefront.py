@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from ovalfront import (
     AtCuspError,
-    DegenerateProfileError,
     NotContainedError,
     SupportOval,
     build_oval,
-    critical_front,
+    critical_time,
+    curvature_profile,
     ellipse_oval,
     hyperbolic_circle,
     enclosure_inequality_check,
@@ -113,26 +113,22 @@ def test_plane_checks_refuse_curved_curves():
 
 
 def test_critical_front_length_vanishes(wavy_oval):
-    crit = critical_front(wavy_oval)
-    assert crit.t_star == pytest.approx(-wavy_oval.L / TWO_PI, rel=1e-12)
-    assert abs(crit.front.signed_length) < 1e-9
-    assert crit.count >= 4
+    t_star = critical_time(wavy_oval)
+    assert t_star == pytest.approx(-wavy_oval.L / TWO_PI, rel=1e-12)
+    front = propagate(wavy_oval, t_star)
+    assert abs(front.signed_length) < 1e-9
+    assert len(front.cusps) >= 4
     # cusps of the critical front = attainment parameters of the mean
     np.testing.assert_allclose(
-        np.sort(crit.cusp_params), np.sort(crit.attainment_params), atol=1e-6
+        front.cusps, curvature_profile(wavy_oval).crossing_params, atol=1e-6
     )
 
 
 def test_critical_front_of_ellipse_matches_elliptic_integral():
     e = ellipse_oval(2.0, 1.0, n_samples=1024)
-    crit = critical_front(e)
-    assert crit.t_star == pytest.approx(-ELLIPSE_2_1_PERIMETER / TWO_PI, rel=1e-10)
-    assert crit.count == 4
-
-
-def test_critical_front_rejects_circles():
-    with pytest.raises(DegenerateProfileError):
-        critical_front(unit_circle(256))
+    t_star = critical_time(e)
+    assert t_star == pytest.approx(-ELLIPSE_2_1_PERIMETER / TWO_PI, rel=1e-10)
+    assert len(propagate(e, t_star).cusps) == 4
 
 
 def test_lemma_mean_points_stay_mean_points(wavy_oval):
