@@ -197,8 +197,11 @@ def test_collapse_requires_horocyclic_convexity(semicircle_r2):
     # at r = 2 the mean curvature sits below 1: there is no collapse time
     with pytest.raises(CothDomainError):
         critical_time(semicircle_r2)
-    # below the threshold radius there is one, but it lies past the first
-    # cusp onset; only the unguarded front reaches it
+
+
+def test_forced_collapse_below_threshold_radius():
+    # below the threshold radius there is a collapse time, but it lies past
+    # the first cusp onset; only the unguarded front reaches it
     curve = build_rounded_semicircle(RoundedSemicircleSpec(r=0.5, n_samples=1024))
     t = critical_time(curve)
     with pytest.raises(NotHorocyclicallyConvexError):
