@@ -66,42 +66,51 @@ def trig_series(cos_amps, sin_amps, derivs):
     return series
 
 
+# each stencil's taps as (weight, k) pairs, added left to right (the first
+# weight scales its tap, the others' signs choose + or -), and its divisor
+# as (factor, power of the spacing)
+_STENCILS = {
+    1: ([(1.0, -2), (-8.0, -1), (8.0, 1), (-1.0, 2)], (12.0, 1)),
+    2: ([(-1.0, -2), (16.0, -1), (-30.0, 0), (16.0, 1), (-1.0, 2)], (12.0, 2)),
+    3: ([(0.125, -3), (-1.0, -2), (1.625, -1), (-1.625, 1), (1.0, 2), (-0.125, 3)], (1.0, 3)),
+}
+
+
 def periodic_deriv(values, order, spacing):
     """Differentiate uniformly spaced periodic samples, (n,) or (n, d).
 
     Central finite differences of stencil order 4, wrapped cyclically along
     the first axis, so each column of an (n, d) block gets exactly what
     the 1-d call on it returns.  ``order`` selects the first, second or
-    third derivative.
+    third derivative; ``spacing`` must be positive and finite.  The taps
+    are added into one output array in the order of the one-line formula,
+    ((r(-2) - 8 r(-1)) + 8 r(1)) - r(2) for the first derivative, then
+    divided, so the floats are the formula's.  ``values`` is not modified
+    and the result shares no memory with it.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim not in (1, 2):
         raise ValueError("values must be 1-d or 2-d")
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
+    if not 0.0 < spacing < np.inf:
+        raise ValueError("spacing must be positive and finite")
+    if order not in _STENCILS:
+        raise ValueError("order must be 1, 2 or 3")
     n = len(v)
     # one copy wrapped three samples past each end (more than once if n < 3)
-    wrapped = np.take(v, np.arange(-3, n + 3), axis=0, mode="wrap")
+    head = np.take(v, [-3, -2, -1], axis=0, mode="wrap")
+    wrapped = np.concatenate([head, v, np.take(v, [n, n + 1, n + 2], axis=0, mode="wrap")])
 
     def r(k):
         return wrapped[3 + k : 3 + k + n]  # r(k)[i] == v[(i + k) % n]
 
-    if order == 1:
-        return (r(-2) - 8.0 * r(-1) + 8.0 * r(1) - r(2)) / (12.0 * spacing)
-    if order == 2:
-        return (-r(-2) + 16.0 * r(-1) - 30.0 * v + 16.0 * r(1) - r(2)) / (
-            12.0 * spacing**2
-        )
-    if order == 3:
-        return (
-            0.125 * r(-3)
-            - r(-2)
-            + 1.625 * r(-1)
-            - 1.625 * r(1)
-            + r(2)
-            - 0.125 * r(3)
-        ) / spacing**3
-    raise ValueError("order must be 1, 2 or 3")
+    ((w0, k0), *taps), (factor, power) = _STENCILS[order]
+    out = np.multiply(r(k0), w0)
+    tap = np.empty_like(out)
+    for w, k in taps:
+        term = r(k) if abs(w) == 1.0 else np.multiply(r(k), abs(w), out=tap)
+        (np.add if w > 0.0 else np.subtract)(out, term, out=out)
+    out /= factor * spacing**power
+    return out
 
 
 def transitions(values, tol):
@@ -122,8 +131,8 @@ def transitions(values, tol):
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("values must be 1-d")
-    if tol < 0.0:
-        raise ValueError("tol must be non-negative")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be non-negative and finite")
     n = v.size
     empty = np.empty((0, 2), dtype=np.int64)
     out_of_band = np.abs(v) > tol

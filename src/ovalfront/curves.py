@@ -217,20 +217,38 @@ class SpaceForm:
         """
         e1, e2 = self.polar_frame(center)
         phi = np.arctan2(self.dot(points, e2), self.dot(points, e1))
-        steps = np.angle(np.exp(1j * (np.roll(phi, -1) - phi)))
-        winding = float(steps.sum()) / TWO_PI
         n = len(phi)
-        ramp = winding * TWO_PI * np.arange(n) / n
-        periodic = np.cumsum(np.concatenate([[0.0], steps[:-1]])) - ramp + phi[0]
-        dphi = kernels.periodic_deriv(periodic, 1, spacing) + winding * TWO_PI / (n * spacing)
-        return float(np.sum(self.green_weight(points, center) * dphi) * spacing)
+        # 0, then the cyclic steps phi[i + 1] - phi[i] wrapped into (-pi, pi]
+        steps = np.empty(n + 1)
+        steps[0] = 0.0
+        np.subtract(phi[1:], phi[:-1], out=steps[1:n])
+        steps[n] = phi[0] - phi[-1]
+        steps[1:] = np.angle(np.exp(1j * steps[1:]))
+        winding = float(steps[1:].sum()) / TWO_PI
+        periodic = np.cumsum(steps[:n])
+        periodic -= winding * TWO_PI * np.arange(n) / n
+        periodic += phi[0]
+        dphi = kernels.periodic_deriv(periodic, 1, spacing)
+        dphi += winding * TWO_PI / (n * spacing)
+        dphi *= self.green_weight(points, center)
+        return float(np.sum(dphi) * spacing)
 
 
 def euclidean_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean inner product over the last axis."""
+    """Euclidean inner product over the last axis; neither input is modified.
+
+    Column products are summed into one array as ((0.0 + a0 b0) + a1 b1) +
+    a2 b2, the order in which ``np.sum(a * b, axis=-1)`` adds 2 or 3 terms,
+    so the floats are its floats, signed zeros included.
+    """
     if np.ndim(b) == 1:  # against one vector: a matrix product, several times faster
         return a @ b
-    return np.sum(a * b, axis=-1)
+    out = np.multiply(a[..., 0], b[..., 0])
+    out += 0.0
+    term = np.empty_like(out)
+    for j in range(1, np.shape(a)[-1]):
+        out += np.multiply(a[..., j], b[..., j], out=term)
+    return out
 
 
 PLANE = SpaceForm(
@@ -468,18 +486,20 @@ def fourier_antiderivative(values: np.ndarray, period: float = TWO_PI) -> np.nda
     """Cumulative integral of periodic samples, anchored at 0.
 
     Exact for every harmonic the grid resolves; the mean is integrated as
-    a linear ramp.
+    a linear ramp.  ``values`` is not modified.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
     vbar = float(v.mean())
     coeff = np.fft.rfft(v - vbar)
     freq = _spectral_freq(coeff.size, float(period))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        anti = np.where(freq != 0.0, coeff / freq, 0.0)
-    osc = np.fft.irfft(anti, n)
-    x = np.arange(n) * (period / n)
-    return vbar * x + (osc - osc[0])
+    coeff[0] = 0.0
+    with np.errstate(invalid="ignore"):  # inf / freq, as coeff / freq gave it
+        coeff[1:] /= freq[1:]
+    osc = np.fft.irfft(coeff, n)
+    osc -= osc[0]
+    osc += vbar * (np.arange(n) * (period / n))
+    return osc
 
 
 def parametric_area(points: np.ndarray, period: float) -> np.ndarray:
@@ -981,36 +1001,47 @@ def arclength_resample(point_fn, n_samples: int, speed_fn):
 
 
 def harmonic_radius(rho: float, harmonics: Sequence):
-    """r(phi) = rho + sum(a cos(m phi + p)) over (m, a, p) triples, and r'(phi)."""
+    """r(phi) = rho + sum(a cos(m phi + p)) over (m, a, p) triples, and r'(phi).
+
+    Each harmonic is formed in one scratch array and added in place, in the
+    order given; a scalar phi gives a scalar.
+    """
     terms = [(int(m), float(a), float(p)) for m, a, p in harmonics]
 
-    def r_fn(phi):
-        r = np.full_like(np.asarray(phi, dtype=float), rho)
-        for m, a, p in terms:
-            r = r + a * np.cos(m * np.asarray(phi) + p)
-        return r
+    def series(phi, start, wave, weights):
+        x = np.asarray(phi, dtype=float)
+        total = np.full_like(x, start)
+        term = np.empty_like(x)
+        for (m, _, p), weight in zip(terms, weights):
+            np.multiply(x, m, out=term)
+            term += p
+            wave(term, out=term)
+            term *= weight
+            total += term
+        return total[()]
 
-    def dr_fn(phi):
-        d = np.zeros_like(np.asarray(phi, dtype=float))
-        for m, a, p in terms:
-            d = d - a * m * np.sin(m * np.asarray(phi) + p)
-        return d
-
-    return r_fn, dr_fn
+    r_weights = [a for _, a, _ in terms]
+    dr_weights = [-(a * m) for m, a, _ in terms]  # d - (a m) sin == d + (-(a m)) sin
+    return (lambda phi: series(phi, rho, np.cos, r_weights),
+            lambda phi: series(phi, 0.0, np.sin, dr_weights))
 
 
 def polar_curve(form: SpaceForm, r_fn, dr_fn, n_samples: int):
     """Arc-length samples of the closed curve r = r_fn(phi) in polar coordinates.
 
-    The metric speed is sqrt(r'^2 + s_K(r)^2); returns what
-    :func:`arclength_resample` returns.
+    The metric speed sqrt(r'^2 + s_K(r)^2) is formed in place in the new
+    arrays ``dr_fn`` and s_K return; returns what :func:`arclength_resample` returns.
     """
 
     def point_fn(phi):
         return form.polar(r_fn(phi), phi)
 
     def speed_fn(phi):
-        return np.sqrt(dr_fn(phi) ** 2 + form.s(r_fn(phi)) ** 2)
+        speed = dr_fn(phi)
+        np.square(speed, out=speed)
+        s_r = form.s(r_fn(phi))  # the plane's s_K is a lambda: no out= through it
+        speed += np.square(s_r, out=s_r)
+        return np.sqrt(speed, out=speed)
 
     return arclength_resample(point_fn, n_samples, speed_fn)
 

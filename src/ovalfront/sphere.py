@@ -56,6 +56,8 @@ PLANARITY_TOL = 1e-8
 # samples per block of the pruned diameter scan, and the slack of its bound
 DIAMETER_BLOCK = 64
 DIAMETER_SLACK = 1e-12
+# block pairs per product stack of the scan: 16 x 64 x 64 floats are 0.5 MB
+DIAMETER_PAIRS = 16
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -106,19 +108,22 @@ def spherical_diameter(points: np.ndarray) -> float:
     ``UNIT_NORM_TOL``.  The smallest centre product belongs to a real pair,
     so only block pairs whose bound is at most that product plus
     ``DIAMETER_SLACK`` can hold the minimum; the slack keeps roundoff in the
-    bound from pruning the minimising pair.
+    bound from pruning the minimising pair.  The surviving pairs are
+    multiplied ``DIAMETER_PAIRS`` at a time, each in its own block product.
     """
     block = DIAMETER_BLOCK
     pad = -len(points) % block  # repeating a real sample adds only real pairs
     blocks = np.concatenate([points, np.repeat(points[-1:], pad, axis=0)])
     blocks = blocks.reshape(-1, block, points.shape[1])
     centres = blocks[:, block // 2]
-    radii = np.linalg.norm(blocks - centres[:, None], axis=2).max(axis=1)
-    norms = np.linalg.norm(centres, axis=1)
+    radii = SPHERE.norm(blocks - centres[:, None]).max(axis=1)
+    norms = SPHERE.norm(centres)
     products = centres @ centres.T
     bound = products - np.add.outer(norms * radii, norms * radii) - np.outer(radii, radii)
     rows, cols = np.nonzero(np.triu(bound <= products.min() + DIAMETER_SLACK))
-    lowest = min(float((blocks[i] @ blocks[j].T).min()) for i, j in zip(rows, cols))
+    splits = range(DIAMETER_PAIRS, len(rows), DIAMETER_PAIRS)
+    pairs = zip(np.split(rows, splits), np.split(cols, splits))
+    lowest = min(float((blocks[i] @ blocks[j].swapaxes(1, 2)).min()) for i, j in pairs)
     return float(np.arccos(np.clip(lowest, -1.0, 1.0)))
 
 
@@ -166,12 +171,12 @@ SPHERE = SPACE_FORMS[SPHERICAL] = SpaceForm(
 
 
 def _unit(points: np.ndarray) -> np.ndarray:
-    return points / np.linalg.norm(points, axis=1)[:, None]
+    return points / SPHERE.norm(points)[:, None]
 
 
 def _finish_sphere_curve(points, s, length, area_pole=None, curv_fn=None) -> SphereCurve:
     points = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(points, axis=1)
+    norms = SPHERE.norm(points)
     if float(np.max(np.abs(norms - 1.0))) > UNIT_NORM_TOL:
         points = points / norms[:, None]
     n = len(points)
@@ -274,7 +279,7 @@ def tennis_seam(beta: float = 0.25, n_samples: int = 2048) -> SphereCurve:
 def sphere_curve_from_points(points, n_samples: int = 1024) -> SphereCurve:
     """Resample-and-validate path for raw point loops on the sphere."""
     raw = np.asarray(points, dtype=float)
-    if float(np.max(np.abs(np.linalg.norm(raw, axis=1) - 1.0))) > 1e-6:
+    if float(np.max(np.abs(SPHERE.norm(raw) - 1.0))) > 1e-6:
         raise BadParametrizationError("input points must lie on the unit sphere")
     return _finish_sphere_curve(*resample_surface_loop(raw, n_samples, SPHERE, _unit))
 
@@ -425,7 +430,7 @@ def total_torsion(curve: SphereCurve) -> TorsionReport:
     d1 = kernels.periodic_deriv(curve.points, 1, spacing)
     d2 = kernels.periodic_deriv(curve.points, 2, spacing)
     d3 = kernels.periodic_deriv(curve.points, 3, spacing)
-    speed = np.linalg.norm(d1, axis=1)
+    speed = SPHERE.norm(d1)
     if float(np.max(np.abs(speed - 1.0))) > SPEED_TOL:
         raise BadParametrizationError("torsion needs unit-speed samples")
     binormal = cross3(d1, d2)

@@ -99,6 +99,10 @@ def test_periodic_deriv_validates_arguments():
         periodic_deriv(np.zeros(8), 1, 0.0)
     with pytest.raises(ValueError, match="1-d or 2-d"):
         periodic_deriv(np.zeros((8, 3, 2)), 1, 0.1)
+    # nan <= 0 is False: a NaN spacing gave all NaN, an infinite one zeros
+    for spacing in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            periodic_deriv(np.sin(np.arange(8.0)), 1, spacing)
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,6 +173,15 @@ def test_transitions_crossing_through_band():
     pairs, touches = transitions(v, 0.1)
     assert len(pairs) == 2
     assert len(touches) == 0
+
+
+def test_transitions_validates_tol():
+    # nan < 0 is False: a NaN band reported no sign change on a sine
+    v = np.sin(np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
+    for tol in (np.nan, np.inf, -1e-3):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            transitions(v, tol)
+    assert len(transitions(v, 0.0)[0]) == 2
 
 
 def test_transitions_all_in_band():
