@@ -9,10 +9,13 @@ Every CSV goes through one table writer, `_write_table`, which picks a
 format per column: floats print as ``%.12g``; integers print as ``%d``
 where that gives the same text as ``%.12g`` (|v| < 1e12), else as floats.
 SVG coordinates print as ``%.2f``.  The numbers of a table are printed by
-a cell writer (`_text`): NumPy turns each block of rows into fixed-width
-byte cells and keeps the bytes each value prints.  A value it cannot print
-exactly (zero, nan, inf, an exponent form, a near rounding tie) sends its
-row to Python's ``%``, so every byte is that of one ``%`` per value.
+a cell writer (`_text`) a block of rows at a time, a block holding at most
+`_BLOCK_VALUES` values (at least one row), so the memory a write needs is
+bounded whatever the table's length or width.  NumPy writes each block into
+fixed-width byte cells and keep masks and selects the bytes each value
+prints.  A value it cannot print exactly (zero, nan, inf, an exponent form,
+a near rounding tie) sends its row to Python's ``%``, so every byte is that
+of one ``%`` per value.
 """
 
 from __future__ import annotations
@@ -212,18 +215,23 @@ def _quad_tables():
 _QUAD_TEXT, _QUAD_ZEROS, _QUAD_DIGITS, _POINT_TEXT = _quad_tables()
 _POW10 = 10 ** np.arange(17, dtype=np.int64)
 _POW10F = _POW10.astype(float)  # exact: every power of ten up to 10**22 is a double
-# rows formatted at once; a block's cells take about 0.2 MB
-_BLOCK_ROWS = 1024
+# values formatted at once: a table of k printed columns formats
+# max(1, _BLOCK_VALUES // k) rows a block, whose cells and keep masks take at
+# most 64 bytes a value, 1 MB a block
+_BLOCK_VALUES = 16384
 
 
-def _quads(v, count: int):
-    """The base-10000 digits of int64 ``v`` (0 <= v < 10**(4 count)), most significant first."""
-    low = []
-    for _ in range(count - 1):
+def _put_quads(words, first: int, v, count: int, lead=_QUAD_TEXT) -> None:
+    """Write the base-10000 digits of int64 ``v`` (0 <= v < 10**(4 count)) as words
+    ``first`` ... ``first + count - 1`` of ``words``, most significant first.
+
+    Each digit's word is looked up in `_QUAD_TEXT`, the most significant one's in ``lead``.
+    """
+    for j in range(first + count - 1, first, -1):
         q = v // 10000
-        low.append(v - q * 10000)
+        words[..., j] = _QUAD_TEXT[v - q * 10000]
         v = q
-    return [v, *reversed(low)]
+    words[..., first] = lead[v]
 
 
 def _trailing_zeros(v, quads: int = 3):
@@ -257,46 +265,67 @@ def _keep_table(whole: int, frac: int):
     return keep.astype(np.uint8).reshape(-1, 4 * words).view(np.uint32), keep.shape[1:3]
 
 
-def _cells(frac_words: int, seps, neg, whole, nint=None, frac=None, nfrac=0):
-    """Cells and keep masks, (rows, k, words) uint32 each, of values with sign ``neg``.
+class _Digits:
+    """The digits of a (rows, k) block of values with one format, written into cells on demand.
 
-    ``seps`` holds the separator byte of each of the k columns.  ``whole`` is
-    the integer part and ``nint`` its digit count (by default counted);
-    ``frac`` is the fraction as a (4 frac_words - 1)-digit integer, of which
-    the first ``nfrac`` digits print.  The cells hold as many words of
-    integer digits as the largest ``whole`` needs; bytes a value does not
-    print are left unwritten.
+    ``seps`` holds the separator byte of each of the k columns, ``neg`` each
+    value's sign.  ``whole`` is the integer part and ``nint`` its digit count
+    (by default counted); ``frac`` is the fraction as a (4 frac_words -
+    1)-digit integer, of which the first ``nfrac`` digits print.  ``slow``
+    marks the values the cells cannot print exactly, or is None.  The cells
+    hold as many words of integer digits as the largest ``whole`` needs:
+    `words` words a value.
     """
-    top = whole.max(initial=0)
-    quads = _quads(whole, 1 + (top >= 10**4) + (top >= 10**8))
-    if nint is None:
-        nint = _QUAD_DIGITS[whole] if len(quads) == 1 else _ndigits(whole)
-    table, (ni, nf) = _keep_table(len(quads), frac_words)
-    cells = np.empty(whole.shape + (table.shape[1],), np.uint32)
-    for j, r in enumerate(quads, 1):
-        cells[..., j] = _QUAD_TEXT[r]
-    if frac_words:
-        rems = _quads(frac, frac_words)
-        cells[..., 1 + len(quads)] = _POINT_TEXT[rems[0]]
-        for j, r in enumerate(rems[1:], 2 + len(quads)):
-            cells[..., j] = _QUAD_TEXT[r]
-    # the sign just before the first digit, the separator before the sign; a
-    # slow value's nint exceeds its integer digits by at most one, so both stay
-    # in its own cell (its row is dropped, its keep row may be clipped)
-    flat = cells.view(np.uint8).reshape(-1)
-    sign = np.arange(0, flat.size, 4 * cells.shape[-1]).reshape(whole.shape) + (3 + 4 * len(quads))
-    sign -= nint
-    flat[sign] = ord("-")
-    flat[sign - neg] = seps
-    return cells, table.take((neg * ni + nint) * nf + nfrac, axis=0, mode="clip")
+
+    def __init__(self, frac_words: int, seps, neg, whole, nint=None, frac=None, nfrac=0,
+                 slow=None):
+        top = whole.max(initial=0)
+        self.quads = 1 + (top >= 10**4) + (top >= 10**8)
+        if nint is None:
+            nint = _QUAD_DIGITS[whole] if self.quads == 1 else _ndigits(whole)
+        self.table, (ni, nf) = _keep_table(self.quads, frac_words)
+        self.words = self.table.shape[1]
+        self.keep_rows = (neg * ni + nint) * nf + nfrac
+        self.frac_words, self.seps, self.slow = frac_words, seps, slow
+        self.neg, self.whole, self.nint, self.frac = neg, whole, nint, frac
+
+    def put_cells(self, cells, off: int, a: int, b: int) -> None:
+        """Write the cells of columns a .. b - 1 into words ``off`` ... of the
+        (rows, words) uint32 block array; bytes a value does not print are left unwritten."""
+        rows, cols, quads = len(cells), slice(a, b), self.quads
+        width = (b - a) * self.words
+        view = cells[:, off:off + width].reshape(rows, b - a, self.words)
+        _put_quads(view, 1, self.whole[:, cols], quads)
+        if self.frac_words:
+            _put_quads(view, 1 + quads, self.frac[:, cols], self.frac_words, _POINT_TEXT)
+        # the sign just before the first digit, the separator before the sign; a
+        # slow value's nint exceeds its integer digits by at most one, so both stay
+        # in its own cell (its row is dropped, its keep row may be clipped).  A
+        # column at a time: NumPy broadcasts over k inner elements slowly.
+        flat = cells.view(np.uint8).reshape(-1)
+        row = np.arange(0, flat.size, 4 * cells.shape[1])
+        for j in range(a, b):
+            sign = row + (4 * (off + (j - a) * self.words + quads) + 3)
+            sign -= self.nint[:, j]
+            flat[sign] = ord("-")
+            sign -= self.neg[:, j]
+            flat[sign] = self.seps[j]
+
+    def put_keep(self, keep, off: int, a: int, b: int) -> None:
+        """Write the keep masks of columns a .. b - 1 as `put_cells` writes their cells."""
+        out = keep[:, off:off + (b - a) * self.words].reshape(len(keep), b - a, self.words)
+        if out.flags.c_contiguous:
+            self.table.take(self.keep_rows[:, a:b], axis=0, mode="clip", out=out)
+        else:  # NumPy's take fills a strided out through a copy, slowly
+            out[...] = self.table.take(self.keep_rows[:, a:b], axis=0, mode="clip")
 
 
 # integer digits of a %.12g value with 11 - e = k
-_NINT = np.maximum(12 - np.arange(16), 1)
+_NINT = np.maximum(12 - np.arange(16), 1).astype(np.uint8)
 
 
 def _g_cells(x, seps):
-    """``%.12g`` cells and keep masks of float array ``x``, and where it needs Python's ``%``.
+    """`_Digits` of ``%.12g`` of float array ``x``, with where it needs Python's ``%``.
 
     A value prints as fixed point when its decimal exponent e after rounding
     lies in [-4, 11]: its 12 significant digits are m = rint(|x| 10**(11-e)),
@@ -309,24 +338,27 @@ def _g_cells(x, seps):
     a = np.fmin(np.fmax(np.abs(x), 1e-300), 1e13)  # zero and nan to 1e-300, inf to 1e13
     k = np.clip(11 - np.floor(np.log10(a)), 0, 15).astype(np.intp)  # 11 - e
     p = _POW10F[k]
-    y = a * p
+    y = np.multiply(a, p, out=a)
     # m >= 10**12 clips to 10**12 - 1 and so lies at least 0.5 from y
     m = np.fmin(np.rint(y), 1e12 - 1)
     slow = (np.abs(y - m) > 0.5 - 1e-4) | (y < 1e11)
+    del a, y
     whole = np.floor(m / p)  # exact: m and p are exact and m / p rounds once
-    frac = (m - whole * p) * _POW10F[15 - k]  # < 10**15, exact
+    frac = m - whole * p
+    del p
+    frac *= _POW10F[15 - k]  # < 10**15, exact
     nfrac = np.maximum(k - _trailing_zeros(m.astype(np.int64)), 0)
-    return (*_cells(4, seps, np.signbit(x), whole.astype(np.int64), _NINT[k],
-                    frac.astype(np.int64), nfrac), slow)
+    return _Digits(4, seps, np.signbit(x), whole.astype(np.int64), _NINT[k],
+                   frac.astype(np.int64), nfrac, slow)
 
 
 def _d_cells(v, seps):
-    """``%d`` cells and keep masks of integer array ``v``, every |v| < 1e12; none is slow."""
-    return (*_cells(0, seps, v < 0, np.abs(v.astype(np.int64))), None)
+    """`_Digits` of ``%d`` of integer array ``v``, every |v| < 1e12; none is slow."""
+    return _Digits(0, seps, v < 0, np.abs(v.astype(np.int64)))
 
 
 def _f2_cells(x, seps):
-    """``%.2f`` cells and keep masks of float array ``x``, and where it needs Python's ``%``.
+    """`_Digits` of ``%.2f`` of float array ``x``, with where it needs Python's ``%``.
 
     |x| 100 rounds once, by at most 2**-33 below 1e6, so its rint is exact
     unless it lies within 1e-6 of a tie; those values, |x| that rounds to
@@ -338,7 +370,7 @@ def _f2_cells(x, seps):
     fast = (np.abs(y - m) < 0.5 - 1e-6) & (m < 1e6)
     m = np.where(fast, m, 0.0).astype(np.int64)
     whole = m // 100
-    return (*_cells(1, seps, np.signbit(x), whole, None, (m - 100 * whole) * 10, 2), ~fast)
+    return _Digits(1, seps, np.signbit(x), whole, None, (m - 100 * whole) * 10, 2, ~fast)
 
 
 _FORMATS = {"%.12g": _g_cells, "%d": _d_cells, "%.2f": _f2_cells}
@@ -350,35 +382,58 @@ class _Numbers:
     def __init__(self, fmt: str, values):
         self.fmt, self.values = fmt, values
 
-    def block(self, start: int, seps):
-        """(cells, keep, slow) of rows ``start`` .. ``start`` + `_BLOCK_ROWS`; slow may be None.
+    def block(self, start: int, stop: int, seps):
+        """The `_Digits` of rows ``start`` .. ``stop`` - 1, which `_text` writes into its block.
 
         ``seps`` holds the separator byte that precedes each column's values.
         """
-        return _FORMATS[self.fmt](self.values[start:start + _BLOCK_ROWS], seps)
+        return _FORMATS[self.fmt](self.values[start:stop], seps)
+
+
+class _Cells:
+    """Cells and keep masks of a `_Digits` block, (rows, words) uint32 each, copied into blocks."""
+
+    def __init__(self, digits):
+        self.words, self.slow = digits.words, digits.slow
+        self.cells = np.empty((len(digits.whole), self.words), np.uint32)
+        self.keep = np.empty_like(self.cells)
+        digits.put_cells(self.cells, 0, 0, 1)
+        digits.put_keep(self.keep, 0, 0, 1)
+
+    def put_cells(self, cells, off: int, a: int, b: int) -> None:
+        cells[:, off:off + self.words] = self.cells
+
+    def put_keep(self, keep, off: int, a: int, b: int) -> None:
+        keep[:, off:off + self.words] = self.keep
 
 
 class _SharedColumn(_Numbers):
-    """A float column printed in several tables; each block is formatted once."""
+    """A float column printed in several tables; each block is formatted once.
+
+    Blocks hold as many rows as their table's width allows, so a block is
+    known by its rows and its separator.
+    """
 
     def __init__(self, values):
         super().__init__("%.12g", np.asarray(values, dtype=float)[:, None])
         self._blocks = {}
 
-    def block(self, start: int, seps):
-        key = start, seps.tobytes()
+    def block(self, start: int, stop: int, seps):
+        key = start, stop, seps.tobytes()
         if key not in self._blocks:
-            self._blocks[key] = super().block(start, seps)
+            self._blocks[key] = _Cells(super().block(start, stop, seps))
         return self._blocks[key]
 
 
 def _text(columns, seps: str):
-    """Yield the text of a table as bytes, in pieces.
+    """Yield the text of a table in pieces, as bytes or uint8 arrays.
 
     ``columns`` holds one (numbers, j) per printed column, column j of a
     `_Numbers`; every value is preceded by its column's character of
-    ``seps``.  A row with a slow value prints with Python's ``%``, every
-    value of it.
+    ``seps``.  A block holds max(1, `_BLOCK_VALUES` // k) rows of the k
+    columns: each `_Numbers` writes its cells and keep masks straight into
+    the block's two arrays, and one boolean selection gives the block's text.
+    A row with a slow value prints with Python's ``%``, every value of it.
     """
     line = "".join(sep + num.fmt for (num, _), sep in zip(columns, seps))
     runs = []  # [numbers, first, last + 1] of consecutive columns of one array
@@ -389,23 +444,30 @@ def _text(columns, seps: str):
             runs[-1][2] += 1
         else:
             runs.append([num, j, j + 1])
-    for start in range(0, len(columns[0][0].values), _BLOCK_ROWS):
-        blocks = {num: num.block(start, num_seps) for num, num_seps in col_seps.items()}
-        pieces = [[blocks[num][i][:, a:b].reshape(len(blocks[num][i]), -1) for num, a, b in runs]
-                  for i in (0, 1)]
-        cells, keep = (part[0] if len(runs) == 1 else np.concatenate(part, axis=1)
-                       for part in pieces)
+    n, step = len(columns[0][0].values), max(1, _BLOCK_VALUES // len(columns))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        blocks = {num: num.block(start, stop, num_seps) for num, num_seps in col_seps.items()}
+        slow = sorted({r for blk in blocks.values() if blk.slow is not None
+                       for r in (np.flatnonzero(blk.slow) // blk.slow.shape[1]).tolist()})
+        spans, words = [], 0  # (block, first word, first column, last column + 1)
+        for num, a, b in runs:
+            spans.append((blocks[num], words, a, b))
+            words += (b - a) * blocks[num].words
+        cells = np.empty((stop - start, words), np.uint32)
+        for block, off, a, b in spans:
+            block.put_cells(cells, off, a, b)
+        keep = np.empty_like(cells)  # after the cells' intermediates are gone
+        for block, off, a, b in spans:
+            block.put_keep(keep, off, a, b)
+        del blocks, spans, block  # the digits, before the selection allocates
         text, kept = cells.view(np.uint8), keep.view(bool)
-        slow = set()
-        for _, _, flags in blocks.values():
-            if flags is not None:
-                slow.update((np.flatnonzero(flags) // flags.shape[1]).tolist())
         done = 0
-        for r in sorted(slow):
-            yield text[done:r][kept[done:r]].tobytes()
+        for r in slow:
+            yield text[done:r][kept[done:r]]
             yield (line % tuple(num.values[start + r, j].item() for num, j in columns)).encode()
             done = r + 1
-        yield text[done:][kept[done:]].tobytes()
+        yield text[done:][kept[done:]]
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +485,11 @@ def _write_table(path, header: str, *columns) -> None:
     that several tables print.  Float values print as ``%.12g``; integer
     columns print as ``%d`` when every |v| < 1e12, where the text is the
     same, and as ``%.12g`` of the float otherwise.  The float columns are
-    formatted together as one (n, d) block, and so are the integer ones,
-    1024 rows at a time, so memory stays flat in the table's length.  Rows
-    holding a value the cells cannot print exactly go through Python's ``%``
-    (which prints nan, inf and -0 as ``f"{x:.12g}"`` does), so every byte is
-    that of one ``%`` per value.
+    formatted together as one (n, d) array, and so are the integer ones, in
+    blocks of at most `_BLOCK_VALUES` values of the table, so memory stays
+    flat in the table's length and width.  Rows holding a value the cells
+    cannot print exactly go through Python's ``%`` (which prints nan, inf and
+    -0 as ``f"{x:.12g}"`` does), so every byte is that of one ``%`` per value.
     """
     groups = {"%.12g": [], "%d": []}
     keys = []
@@ -548,18 +610,16 @@ def write_json_report(path, doc: dict) -> None:
 
 
 def _svg(path, width, height, body: list) -> None:
+    """Write an SVG picture; ``body`` holds its elements as bytes, one a line."""
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
     )
-    Path(path).write_text("\n".join([head, *body, "</svg>"]) + "\n")
+    Path(path).write_bytes(b"\n".join([head.encode(), *body, b"</svg>\n"]))
 
 
-def _fit(points: np.ndarray, size: int, pad: float):
-    # one reduction per column: NumPy reduces a tall (n, 2) array over axis 0
-    # many times slower
-    lo = np.array([col.min() for col in points.T])
-    hi = np.array([col.max() for col in points.T])
+def _fit(lo, hi, size: int, pad: float):
+    """The map to pixels of points whose coordinates lie between ``lo`` and ``hi``."""
     span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-12))
     scale = (size - 2 * pad) / span
     mid = 0.5 * (lo + hi)
@@ -572,31 +632,35 @@ def _fit(points: np.ndarray, size: int, pad: float):
     return to_px
 
 
-def _polyline(xs, ys, color: str, width: float = 1.5) -> str:
+def _polyline(xs, ys, color: str, width: float = 1.5) -> bytes:
     points = _Numbers("%.2f", np.column_stack([xs, ys]))
-    pts = b"".join(_text([(points, 0), (points, 1)], " ,")).decode()
-    # closed: the first point again at the end
-    return (
-        f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
-        f'points="{pts[1:]} {pts.split(" ", 2)[1]}"/>'
-    )
+    pts = b"".join(_text([(points, 0), (points, 1)], " ,"))
+    # closed: the first point again at the end, after its separator
+    end = pts.find(b" ", 1)
+    first = pts[:end] if end > 0 else pts
+    head = f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="'
+    return b"".join([head.encode(), pts[1:], first, b'"/>'])
 
 
 def write_plane_svg(path, fronts) -> None:
     """Plane curves/fronts with cusp markers, one polyline per object."""
-    allpts = np.vstack([np.asarray(f.points) for f in fronts])
-    to_px = _fit(allpts, SVG_SIZE, 24.0)
+    points = [np.asarray(f.points) for f in fronts]
+    # one reduction per front and column: NumPy reduces a tall (n, 2) array
+    # over axis 0 many times slower
+    lo = np.array([np.min([p[:, j].min() for p in points]) for j in range(2)])
+    hi = np.array([np.max([p[:, j].max() for p in points]) for j in range(2)])
+    to_px = _fit(lo, hi, SVG_SIZE, 24.0)
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     body = []
-    for idx, f in enumerate(fronts):
-        xs, ys = to_px(np.asarray(f.points))
+    for idx, (f, p) in enumerate(zip(fronts, points)):
+        xs, ys = to_px(p)
         body.append(_polyline(xs, ys, palette[idx % len(palette)]))
         cusps = getattr(f, "cusps", None)
         if cusps is not None and len(cusps):
             at = f.interpolant(f.points)
             px, py = to_px(at(np.asarray(cusps, dtype=float)))
             body.extend(
-                '<circle cx="%.2f" cy="%.2f" r="3.5" fill="#000000"/>' % c
+                b'<circle cx="%.2f" cy="%.2f" r="3.5" fill="#000000"/>' % c
                 for c in zip(px.tolist(), py.tolist())
             )
     _svg(path, SVG_SIZE, SVG_SIZE, body)
@@ -611,7 +675,7 @@ def write_disc_svg(path, curves, chart) -> None:
     r = half - 24
     body = [
         f'<circle cx="{half}" cy="{half}" r="{r:.2f}" fill="none" '
-        f'stroke="#bbbbbb" stroke-width="1"/>'
+        f'stroke="#bbbbbb" stroke-width="1"/>'.encode()
     ]
     palette = ["#1f77b4", "#d62728", "#2ca02c"]
     for idx, c in enumerate(curves):

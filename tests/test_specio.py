@@ -336,15 +336,60 @@ def test_table_writer_zero_rows_and_blocks(tmp_path):
                         np.zeros(0, dtype=np.int8))
     assert path.read_text() == "s,x,y,regularity\n"
 
-    # three row blocks, a 2-D block between two shared columns, a zero per block
+    # three row blocks of the five columns, a 2-D block between two shared
+    # columns, a zero per block
     rng = np.random.default_rng(3)
-    n = 2 * specio._BLOCK_ROWS + 7
+    n = 2 * (specio._BLOCK_VALUES // 5) + 7
     s, x, y = rng.standard_normal((3, n)) * np.array([[1.0], [1e3], [1e-3]])
     x[::1000] = 0.0
     block, ints = np.column_stack([x, y]), rng.integers(-5, 5, n)
     specio._write_table(path, "s,x,y,i,t", specio._SharedColumn(s), block, ints,
                         specio._SharedColumn(-s))
     assert path.read_text() == per_value_csv("s,x,y,i,t", (s, x, y, ints, -s))
+
+
+def test_shared_column_in_tables_of_different_widths(tmp_path):
+    # a block of the 2-column table holds 5/2 times the rows of a block of the
+    # 5-column one; each table must get the shared column's blocks of its rows
+    rng = np.random.default_rng(5)
+    s, x = rng.standard_normal((2, specio._BLOCK_VALUES // 2 + 3))
+    shared, wide = specio._SharedColumn(s), np.column_stack([x, -x, 3 * x, x / 7])
+    path = tmp_path / "t.csv"
+    for header, columns in (("s,x", (x,)), ("s,a,b,c,d", (wide,)), ("s,x", (x,))):
+        specio._write_table(path, header, shared, *columns)
+        flat = [c for col in columns for c in np.atleast_2d(col.T)]
+        assert path.read_text() == per_value_csv(header, (s, *flat))
+
+
+def test_blocks_hold_at_most_block_values(tmp_path, monkeypatch):
+    # every block of rows formats at most _BLOCK_VALUES values of its table,
+    # and a table of no more values formats in one block
+    tables, formats, text = [], dict(specio._FORMATS), specio._text
+
+    def recording_text(columns, seps):
+        tables.append((len(columns[0][0].values), len(columns), []))
+        yield from text(columns, seps)
+
+    def recording(cells):
+        def wrapped(values, seps):
+            tables[-1][2].append(len(values))
+            return cells(values, seps)
+        return wrapped
+
+    monkeypatch.setattr(specio, "_text", recording_text)
+    for fmt, cells in formats.items():
+        monkeypatch.setitem(specio._FORMATS, fmt, recording(cells))
+    specio.write_curve_csv(tmp_path / "curve.csv", hyperbolic_circle(0.7, n_samples=4096))
+    assert cli.main(["propagate", "--input", str(GOLDEN / "oval_spec.json"), "--samples", "4096",
+                     "--t=-1.5:0.5:0.1", "--format", "csv,svg", "--out", str(tmp_path)]
+                    ) == cli.EXIT_PASS
+    # the curve CSV, 21 front CSVs and the polylines of the curve and 21 fronts
+    assert [(rows, width) for rows, width, _ in tables] == (
+        [(4096, 5)] + [(4096, 4)] * 21 + [(4096, 2)] * 22)
+    for rows, width, blocks in tables:
+        assert blocks and all(r * width <= specio._BLOCK_VALUES for r in blocks)
+        if rows * width <= specio._BLOCK_VALUES:
+            assert set(blocks) == {rows}
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +410,11 @@ def assert_cells_match_percent(fmt, values):
     seps = "\n" + "," * (values.shape[1] - 1)
     want = per_value_text(fmt, values, seps)
     assert cell_text(fmt, values, seps) == want
-    with mock.patch.object(specio, "_BLOCK_ROWS", 3):  # several blocks, slow rows in any
-        assert cell_text(fmt, values, seps) == want
+    # several blocks of 1-3 rows (a row a block where fewer values than
+    # columns fit), slow rows in any
+    for per_block in (2, 3 * values.shape[1]):
+        with mock.patch.object(specio, "_BLOCK_VALUES", per_block):
+            assert cell_text(fmt, values, seps) == want
 
 
 def blocks(elements, dtype):
@@ -440,14 +488,14 @@ def per_value_table(path, header: str, *columns) -> None:
     Path(path).write_text(per_value_csv(header, flat))
 
 
-def per_value_polyline(xs, ys, color: str, width: float = 1.5) -> str:
+def per_value_polyline(xs, ys, color: str, width: float = 1.5) -> bytes:
     """`specio._polyline` with one ``%.2f`` per coordinate: the reference format."""
     closed = np.column_stack([np.append(xs, xs[0]), np.append(ys, ys[0])])
     pts = ("%.2f,%.2f " * len(closed)) % tuple(closed.ravel().tolist())
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
         f'points="{pts[:-1]}"/>'
-    )
+    ).encode()
 
 
 @pytest.mark.parametrize(
