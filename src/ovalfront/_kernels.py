@@ -2,44 +2,24 @@
 differences and hysteresis sign-change scanning, in NumPy.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
-__all__ = ["trig_eval", "trig_series", "periodic_deriv", "transitions", "BACKEND"]
+__all__ = ["trig_series", "periodic_deriv", "transitions", "BACKEND"]
 
 # the one implementation; reported as ``ovalfront.kernel_backend``
 BACKEND = "reference"
 
 
-def trig_eval(cos_amps, sin_amps, x, deriv=0):
-    """Evaluate a real trigonometric polynomial, or one of its derivatives.
-
-    Parameters
-    ----------
-    cos_amps, sin_amps : array_like
-        Coefficients of cos(n x) and sin(n x) for n = 0 .. n_max.
-    x : float or array_like
-        Evaluation points (radians).
-    deriv : int
-        Derivative order >= 0.
-
-    Returns
-    -------
-    ndarray of the shape of ``x``; a scalar ``x`` gives a scalar.
-    """
-    return trig_series(cos_amps, sin_amps, (deriv,))(x)
-
-
 def trig_series(cos_amps, sin_amps, derivs):
     """The sum of several derivatives of a trigonometric polynomial, as a callable.
 
-    The harmonic index and the scaled coefficient vectors of each order in
-    ``derivs`` are prepared once; each call forms the outer product x n
-    once and adds the terms in the order given, so
-    ``trig_series(a, b, (0, 2))(x)`` equals
-    ``trig_eval(a, b, x, 0) + trig_eval(a, b, x, 2)`` bit for bit.  A
-    scalar x gives a scalar, from one row of n x.
+    ``cos_amps`` and ``sin_amps`` are the coefficients of cos(n x) and
+    sin(n x) for n = 0 .. n_max; ``derivs`` lists derivative orders >= 0.
+    The harmonic index and the scaled coefficient vectors of each order are
+    prepared once; each call forms the outer product x n once and adds the
+    terms in the order given, so ``trig_series(a, b, (0, 2))(x)`` equals
+    ``trig_series(a, b, (0,))(x) + trig_series(a, b, (2,))(x)`` bit for
+    bit.  A scalar x gives a scalar, from one row of n x.
     """
     a = np.asarray(cos_amps, dtype=float)
     b = np.asarray(sin_amps, dtype=float)

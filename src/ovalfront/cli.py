@@ -51,6 +51,9 @@ from .errors import (
 )
 from .harmonics import spectrum, verify_sturm_hurwitz
 from .hyperbolic import (
+    CIRCLE_LIKE,
+    EQUIDISTANT_LIKE,
+    HOROCYCLE_LIKE,
     RoundedSemicircleSpec,
     counterexample_threshold,
     counterexample_verdict,
@@ -252,11 +255,11 @@ def cmd_analyze(args) -> int:
         "attainment_params": crossings,
     }
     if curve.geometry == HYPERBOLIC:
-        report["horocyclically_convex"] = bool(getattr(curve, "horocyclic_convex", False))
+        report["horocyclically_convex"] = curve.horocyclic_convex
         report["curvature_class_counts"] = {
-            "circle_like": int(np.sum(curve.curvature_class == 1)),
-            "horocycle_like": int(np.sum(curve.curvature_class == 0)),
-            "equidistant_like": int(np.sum(curve.curvature_class == -1)),
+            "circle_like": int(np.sum(curve.curvature_class == CIRCLE_LIKE)),
+            "horocycle_like": int(np.sum(curve.curvature_class == HOROCYCLE_LIKE)),
+            "equidistant_like": int(np.sum(curve.curvature_class == EQUIDISTANT_LIKE)),
         }
 
     if "csv" in args.format and profile is not None:
@@ -317,8 +320,11 @@ class _Suite:
     def __init__(self):
         self.checks = []
 
-    def add(self, name: str, passed, **details):
-        entry = {"name": name, "passed": passed}
+    def add(self, name: str, passed, void=None, **details):
+        """A ``void`` note skips the check but keeps its details."""
+        entry = {"name": name, "passed": passed if void is None else None}
+        if void is not None:
+            entry["note"] = void
         entry.update(details)
         self.checks.append(entry)
 
@@ -390,11 +396,13 @@ def _add_defect_check(suite: _Suite, curve, defects, tol: float) -> None:
     suite.add("defect_invariance", bool(spread < tol), relative_spread=spread)
 
 
-def _add_critical_front(suite: _Suite, curve, tol: float, name: str, record_t=False) -> None:
+def _add_critical_front(suite: _Suite, curve, tol: float, name: str, record_t=False,
+                        void=None) -> None:
     """The front at :func:`critical_time`: zero signed length and at least four cusps.
 
     Its cusps sit where k equals its mean.  A circle, whose front collapses
-    to a point, is skipped with its signed length.
+    to a point, is skipped with its signed length.  A ``void`` note skips
+    the check on a curve that the guarantee does not cover.
     """
     t = critical_time(curve)
     front = _front_for(curve, t)
@@ -405,15 +413,16 @@ def _add_critical_front(suite: _Suite, curve, tol: float, name: str, record_t=Fa
                   signed_length=front.signed_length)
         return
     count = len(front.cusps)
-    suite.add(name, bool(abs(front.signed_length) < tol and count >= 4),
+    suite.add(name, bool(abs(front.signed_length) < tol and count >= 4), void=void,
               **({"t": t} if record_t else {}),
               signed_length=front.signed_length, cusp_count=count)
 
 
 def _default_t_grid(curve):
     if curve.geometry == EUCLIDEAN:
-        # keep |t k| away from 1 on the negative side for lemma checks
-        rmin = float(np.min(1.0 / curve.k))
+        # keep |t k| away from 1 on the negative side for lemma checks;
+        # 1/max(k) is min(1/k) on a convex curve and stays positive otherwise
+        rmin = 1.0 / float(np.max(curve.k))
         return list(np.linspace(-0.45 * rmin, 1.0, 11))
     if curve.geometry == SPHERICAL:
         return list(np.linspace(-0.2, 0.4, 11))
@@ -422,6 +431,8 @@ def _default_t_grid(curve):
 
 def _verify_euclidean(curve, tol: float, t_values) -> _Suite:
     suite = _Suite()
+    # the four-point guarantee, and so its spectral form, needs k > 0
+    void = None if float(np.min(curve.k)) > 0.0 else "not convex: four-point guarantee void"
     try:
         res = closure_residual(curve)
         suite.add(
@@ -434,13 +445,17 @@ def _verify_euclidean(curve, tol: float, t_values) -> _Suite:
 
     try:
         count = len(curvature_profile(curve).crossing_params)
-        suite.add("four_point", bool(count >= 4), attainment_count=count)
+        suite.add("four_point", bool(count >= 4), void=void, attainment_count=count)
     except DegenerateProfileError:
         suite.add("four_point", None, note="circle: constant curvature")
 
-    radius = 1.0 / np.asarray(curve.k)
-    dev = radius - float(np.mean(radius))
-    if float(np.max(np.abs(dev))) > 1e-12:
+    skip = void
+    if skip is None:
+        radius = 1.0 / np.asarray(curve.k)
+        dev = radius - float(np.mean(radius))
+        if float(np.max(np.abs(dev))) <= 1e-12:
+            skip = "circle"
+    if skip is None:
         sp = spectrum(dev)
         top = float(np.max(sp.amplitudes))
         low = float(max(sp.amplitudes[0], sp.amplitudes[1]))
@@ -457,8 +472,8 @@ def _verify_euclidean(curve, tol: float, t_values) -> _Suite:
             sign_changes=sturm.sign_changes,
         )
     else:
-        suite.add("radius_deviation_spectrum", None, note="circle")
-        suite.add("sturm_hurwitz", None, note="circle")
+        suite.add("radius_deviation_spectrum", None, note=skip)
+        suite.add("sturm_hurwitz", None, note=skip)
 
     steiner = steiner_check(curve, t_values, tol=tol)
     suite.add(
@@ -469,7 +484,7 @@ def _verify_euclidean(curve, tol: float, t_values) -> _Suite:
     )
 
     _add_front_checks(suite, curve, tol, t_values)
-    _add_critical_front(suite, curve, tol, "critical_front")
+    _add_critical_front(suite, curve, tol, "critical_front", void=void)
     return suite
 
 
@@ -526,10 +541,10 @@ def _verify_spherical(curve, tol: float, t_values) -> _Suite:
 
 def _verify_hyperbolic(curve, tol: float, t_values) -> _Suite:
     suite = _Suite()
-    gb = float(getattr(curve, "gb_residual", np.nan))
+    gb = float(curve.gb_residual)
     suite.add("gauss_bonnet", bool(gb < max(tol, 1e-6)), residual=gb)
 
-    hc = bool(getattr(curve, "horocyclic_convex", False))
+    hc = curve.horocyclic_convex
     suite.add("horocyclic_convexity", None, horocyclically_convex=hc,
               min_curvature=float(np.min(curve.k)))
 

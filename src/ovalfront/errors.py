@@ -25,14 +25,6 @@ class AllBelowToleranceError(OvalfrontError):
     """Every sample lies inside the hysteresis band around zero."""
 
 
-class AtCuspError(OvalfrontError):
-    """Front curvature requested inside the guard band of a cusp."""
-
-
-class NotContainedError(OvalfrontError):
-    """Inner curve is not strictly inside the outer loop."""
-
-
 class BadParametrizationError(OvalfrontError):
     """Curve samples are not unit-speed (or not on the target surface)."""
 

@@ -27,24 +27,8 @@ class Spectrum:
     sin_amps: np.ndarray
 
     @property
-    def n_max(self) -> int:
-        return len(self.cos_amps) - 1
-
-    @property
-    def source_mean(self) -> float:
-        return float(self.cos_amps[0])
-
-    @property
     def amplitudes(self) -> np.ndarray:
         return np.hypot(self.cos_amps, self.sin_amps)
-
-    @property
-    def harmonics(self):
-        return [
-            (n, float(self.cos_amps[n]), float(self.sin_amps[n]))
-            for n in range(len(self.cos_amps))
-        ]
-
 
 @dataclass(frozen=True, eq=False)
 class SturmHurwitzReport:

@@ -57,7 +57,6 @@ from .errors import (
     OvalfrontError,
 )
 
-HYPERBOLOID_NORM_TOL = 1e-10
 HOROCYCLIC_MARGIN = 1e-6
 # half-width of the horocycle-like band of k about 1
 CLASS_BAND = 1e-6

@@ -218,22 +218,6 @@ def euclidean_curve_from_points(points, n_samples: int = 1024) -> SampledCurve:
     )
 
 
-def ellipse_support_coeffs(a: float, b: float, n_max: int = 32) -> list:
-    """Support-function Fourier coefficients of an ellipse, as [n, cos, sin].
-
-    Useful for writing curve-spec files; amplitudes decay geometrically so
-    n_max = 32 is already at machine precision for mild aspect ratios.
-    """
-    n = 4096
-    alpha = np.arange(n) * (TWO_PI / n)
-    h = np.sqrt((a * np.cos(alpha)) ** 2 + (b * np.sin(alpha)) ** 2)
-    coeff = np.fft.rfft(h) / n
-    rows = [[0, float(coeff[0].real), 0.0]]
-    for m in range(1, int(n_max) + 1):
-        rows.append([m, 2.0 * float(coeff[m].real), -2.0 * float(coeff[m].imag)])
-    return rows
-
-
 def closure_residual(curve: SampledCurve) -> np.ndarray:
     """Trapezoid residual of the closure integral of R over the grid.
 

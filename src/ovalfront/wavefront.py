@@ -22,16 +22,10 @@ from .curves import (
     LemmaReport,
     SampledCurve,
     curvature_profile,
-    defect_value,
     eval_scalar,
-    fft_deriv,
     propagate_front,
     steiner_closed_form,
 )
-from .errors import AtCuspError, NotContainedError
-
-# Parameter guard band around cusps inside which curvature is refused.
-CUSP_GUARD = 1e-6
 
 
 def propagate(curve: SampledCurve, t: float) -> Front:
@@ -39,21 +33,6 @@ def propagate(curve: SampledCurve, t: float) -> Front:
     if curve.geometry != EUCLIDEAN:
         raise ValueError("plane propagation needs a Euclidean curve")
     return propagate_front(curve, t)
-
-
-def front_curvature(front: Front, index: int) -> float:
-    """Front curvature k/(1 + t k) at one sample; refuses near cusps."""
-    k = float(front.base.k[index])
-    factor = 1.0 + front.t * k
-    p = float(front.param[index])
-    if front.cusps.size:
-        gap = np.abs(front.cusps - p)
-        dist = float(np.min(np.minimum(gap, front.period - gap)))
-        if dist < CUSP_GUARD:
-            raise AtCuspError(f"sample {index} is {dist:.3g} from a cusp")
-    if abs(factor) < 1e-12:
-        raise AtCuspError(f"1 + t k vanishes at sample {index}")
-    return k / factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,14 +89,6 @@ def steiner_check(curve: SampledCurve, t_values: Sequence[float], tol: float = 1
     return report
 
 
-def isoperimetric_defect(curve: SampledCurve, t: float = 0.0) -> float:
-    """L_t^2 - 4 pi A_t of the measured front at time t."""
-    if t == 0.0:
-        return defect_value(EUCLIDEAN, curve.L, curve.A)
-    f = propagate(curve, t)
-    return defect_value(EUCLIDEAN, f.signed_length, f.area)
-
-
 def propagation_lemma_check(curve: SampledCurve, t_values: Sequence[float]) -> LemmaReport:
     """Mean-curvature points stay mean-curvature points under propagation.
 
@@ -140,66 +111,3 @@ def propagation_lemma_check(curve: SampledCurve, t_values: Sequence[float]) -> L
         kbar_t = TWO_PI / (curve.L + TWO_PI * t)
         devs[i] = float(np.max(np.abs(kt - kbar_t))) if stars.size else np.nan
     return LemmaReport.from_deviations(ts, devs, skipped, stars)
-
-
-# ---------------------------------------------------------------------------
-# containment
-
-
-def _points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd ray cast; True where a point lies inside the polygon."""
-    x = pts[:, 0][:, None]
-    y = pts[:, 1][:, None]
-    x1 = poly[:, 0][None, :]
-    y1 = poly[:, 1][None, :]
-    x2 = np.roll(poly[:, 0], -1)[None, :]
-    y2 = np.roll(poly[:, 1], -1)[None, :]
-    straddles = (y1 > y) != (y2 > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-    hits = straddles & (x < x_cross)
-    return (np.count_nonzero(hits, axis=1) % 2).astype(bool)
-
-
-@dataclass(frozen=True, eq=False)
-class EnclosureReport:
-    inner_length: float
-    outer_length: float
-    margin: float
-    passed: bool
-
-
-def enclosure_inequality_check(inner: SampledCurve, outer) -> EnclosureReport:
-    """Convex curve strictly inside a closed loop is the shorter of the two.
-
-    ``outer`` may be a :class:`SampledCurve` or an (m, 2) point loop.
-    Raises :class:`NotContainedError` when any sample of the inner curve
-    fails the point-in-polygon test against the outer loop.
-    """
-    if isinstance(outer, SampledCurve):
-        outer_pts = outer.points
-        outer_len = outer.L
-    else:
-        outer_pts = np.asarray(outer, dtype=float)
-        seg = outer_pts - np.roll(outer_pts, 1, axis=0)
-        outer_len = float(np.sum(np.linalg.norm(seg, axis=1)))
-    inside = _points_in_polygon(inner.points, outer_pts)
-    if not bool(inside.all()):
-        n_out = int(np.count_nonzero(~inside))
-        raise NotContainedError(f"{n_out} inner samples fall outside the loop")
-    margin = outer_len - inner.L
-    return EnclosureReport(
-        inner_length=inner.L,
-        outer_length=outer_len,
-        margin=margin,
-        passed=margin > 0.0,
-    )
-
-
-def tangent_winding(front: Front) -> int:
-    """Winding number of the front's (sign-corrected) tangent direction."""
-    d = fft_deriv(front.points, front.period)
-    sign = np.where(front.regularity == 0, 1, front.regularity)
-    theta = np.arctan2(sign * d[:, 1], sign * d[:, 0])
-    steps = np.angle(np.exp(1j * (np.roll(theta, -1) - theta)))
-    return int(round(float(steps.sum()) / TWO_PI))

@@ -393,6 +393,27 @@ def test_verify_circle_skips_degenerate_checks(tmp_path):
     assert abs(critical["signed_length"]) < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_voids_the_four_point_checks_of_a_nonconvex_loop(tmp_path):
+    # r = 1 + 0.3 cos 2u dents inward at u = +-pi/2 (min k about -1.02): the
+    # theorem owes it no four points, and its radius 1/k is unbounded
+    u = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
+    r = 1.0 + 0.3 * np.cos(2.0 * u)
+    spec = write_spec(tmp_path, {"geometry": "euclidean", "representation": "samples",
+                                 "points": np.column_stack([r * np.cos(u),
+                                                            r * np.sin(u)]).tolist()})
+    code = main(["verify", "--input", spec, "--out", str(tmp_path), "--samples", "1024"])
+    report = read_report(tmp_path, "verify_report.json")
+    assert code == EXIT_PASS, report["checks"]
+    assert report["t_grid"][0] < 0.0
+    by_name = {c["name"]: c for c in report["checks"]}
+    for name in ("four_point", "radius_deviation_spectrum", "sturm_hurwitz", "critical_front"):
+        assert by_name[name]["passed"] is None
+        assert by_name[name]["note"] == "not convex: four-point guarantee void"
+    assert by_name["four_point"]["attainment_count"] == 4
+    assert by_name["critical_front"]["cusp_count"] == 4
+
+
 @pytest.mark.parametrize("spec, name", [("oval", "critical_front"),
                                         ("hyperbolic", "collapse_front")])
 def test_verify_fails_a_front_off_the_critical_time(tmp_path, monkeypatch, spec, name):

@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ovalfront._kernels import BACKEND, periodic_deriv, transitions, trig_eval, trig_series
+from ovalfront._kernels import BACKEND, periodic_deriv, transitions, trig_series
 
 
 # ---------------------------------------------------------------------------
-# trig_eval
+# trig_series
 
 
 def test_trig_eval_matches_direct_loop():
@@ -18,7 +18,7 @@ def test_trig_eval_matches_direct_loop():
     cos_amps = rng.normal(size=9)
     sin_amps = rng.normal(size=9)
     x = rng.uniform(0, 2 * np.pi, size=40)
-    got = trig_eval(cos_amps, sin_amps, x)
+    got = trig_series(cos_amps, sin_amps, (0,))(x)
     want = np.zeros_like(x)
     for n in range(9):
         want += cos_amps[n] * np.cos(n * x) + sin_amps[n] * np.sin(n * x)
@@ -29,16 +29,16 @@ def test_trig_eval_derivatives_of_single_harmonic():
     x = np.linspace(0, 2 * np.pi, 17, endpoint=False)
     c = np.array([0.0, 0.0, 0.0, 1.0])  # cos(3x)
     s = np.zeros(4)
-    np.testing.assert_allclose(trig_eval(c, s, x, 1), -3 * np.sin(3 * x), atol=1e-12)
-    np.testing.assert_allclose(trig_eval(c, s, x, 2), -9 * np.cos(3 * x), atol=1e-12)
-    np.testing.assert_allclose(trig_eval(c, s, x, 3), 27 * np.sin(3 * x), atol=1e-11)
+    np.testing.assert_allclose(trig_series(c, s, (1,))(x), -3 * np.sin(3 * x), atol=1e-12)
+    np.testing.assert_allclose(trig_series(c, s, (2,))(x), -9 * np.cos(3 * x), atol=1e-12)
+    np.testing.assert_allclose(trig_series(c, s, (3,))(x), 27 * np.sin(3 * x), atol=1e-11)
 
 
 def test_trig_eval_rejects_mismatched_coeffs():
     with pytest.raises(ValueError):
-        trig_eval([1.0, 0.0], [0.0], [0.1])
+        trig_series([1.0, 0.0], [0.0], (0,))
     with pytest.raises(ValueError):
-        trig_eval([1.0], [0.0], [0.1], deriv=-1)
+        trig_series([1.0], [0.0], (-1,))
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,9 +2,11 @@
 
 import keyword
 import re
+import types
 from pathlib import Path
 
 import ovalfront
+from ovalfront import _kernels as kernels
 from ovalfront import curves, harmonics, hyperbolic, specio, sphere, support, wavefront
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
@@ -20,9 +22,12 @@ def test_readme_quick_start_runs(capsys):
 
 
 def test_every_exported_name_resolves():
-    assert len(set(ovalfront.__all__)) == len(ovalfront.__all__)
-    for name in ovalfront.__all__:
-        assert hasattr(ovalfront, name), name
+    # both ways: each name in __all__ resolves, and each public name is in __all__
+    for module in (ovalfront, kernels):
+        assert len(set(module.__all__)) == len(module.__all__)
+        public = {name for name, value in vars(module).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert public == set(module.__all__), module.__name__
 
 
 def test_library_paragraph_names_exported_functions_and_real_fields():

@@ -12,11 +12,9 @@ from ovalfront import (
     build_oval,
     closure_residual,
     ellipse_oval,
-    ellipse_support_coeffs,
     euclidean_curve_from_points,
     unit_circle,
 )
-from ovalfront._kernels import trig_eval
 from ovalfront.errors import BadParametrizationError, DegenerateSamplingError
 from ovalfront.support import oval_from_support
 
@@ -137,17 +135,6 @@ def test_euclidean_curve_from_points_rejects_clockwise_loops():
         euclidean_curve_from_points(e.points[::-1], n_samples=256)
 
 
-def test_ellipse_support_coeffs_reproduce_the_ellipse():
-    rows = ellipse_support_coeffs(2.0, 1.0, n_max=24)
-    n_max = max(int(r[0]) for r in rows)
-    dense = [(0.0, 0.0)] * (n_max + 1)
-    for n, c, s in rows:
-        dense[int(n)] = (float(c), float(s))
-    c = build_oval(SupportOval(coeffs=tuple(dense), n_samples=1024))
-    assert c.L == pytest.approx(ELLIPSE_2_1_PERIMETER, rel=1e-9)
-    assert c.A == pytest.approx(ELLIPSE_2_1_AREA, rel=1e-9)
-
-
 X = st.floats(-1e3, 1e3, allow_nan=False)
 
 
@@ -161,7 +148,12 @@ def test_radius_callback_is_the_two_series_bitwise(amps, x):
     a0 = 1.0 + sum(m * m * (abs(c) + abs(s)) for m, (c, s) in enumerate(amps, start=1))
     spec = SupportOval(((a0, 0.0), *amps), n_samples=64)
     a, b = spec.cos_amps, spec.sin_amps
-    want = trig_eval(a, b, x, 0) + trig_eval(a, b, x, 2)
+    # h + h'' term by term, with d^2/dx^2 cos(n x) = n^2 cos(n x + pi)
+    n = np.arange(a.size, dtype=float)
+    nx = np.multiply.outer(np.asarray(x, dtype=float), n)
+    h = np.cos(nx) @ a + np.sin(nx) @ b
+    hpp = np.cos(nx + np.pi) @ (n**2 * a) + np.sin(nx + np.pi) @ (n**2 * b)
+    want = h + hpp
     assert build_oval(spec).radius_fn(x).tobytes() == want.tobytes()
 
 

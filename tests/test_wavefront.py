@@ -1,4 +1,4 @@
-"""Plane wavefronts: Steiner growth, cusps, critical front, containment."""
+"""Plane wavefronts: Steiner growth, cusps, critical front."""
 
 import numpy as np
 import pytest
@@ -6,22 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovalfront import (
-    AtCuspError,
-    NotContainedError,
     SupportOval,
     build_oval,
     critical_time,
     curvature_profile,
     ellipse_oval,
     hyperbolic_circle,
-    enclosure_inequality_check,
-    front_curvature,
-    isoperimetric_defect,
     propagate,
     propagation_lemma_check,
     sphere_circle,
     steiner_check,
-    tangent_winding,
     unit_circle,
 )
 
@@ -80,34 +74,10 @@ def test_front_develops_cusps_past_min_radius(wavy_oval):
     assert len(f_safe.cusps) == 0
 
 
-def test_front_curvature_shifts_radius():
-    e = ellipse_oval(2.0, 1.0, n_samples=512)
-    f = propagate(e, 0.7)
-    # R_t = R + t pointwise
-    for idx in (0, 100, 317):
-        k_t = front_curvature(f, idx)
-        assert 1.0 / k_t == pytest.approx(1.0 / e.k[idx] + 0.7, rel=1e-10)
-
-
-def test_front_curvature_refuses_cusp_samples(wavy_oval):
-    rmin = float((1.0 / wavy_oval.k).min())
-    imin = int(np.argmin(1.0 / wavy_oval.k))
-    f = propagate(wavy_oval, -rmin)  # cusp exactly at the minimum
-    with pytest.raises(AtCuspError):
-        front_curvature(f, imin)
-
-
-def test_isoperimetric_defect_invariance(wavy_oval):
-    d0 = isoperimetric_defect(wavy_oval)
-    for t in np.linspace(-0.4, 1.0, 11):
-        dt = isoperimetric_defect(wavy_oval, float(t))
-        assert dt == pytest.approx(d0, rel=1e-9)
-
-
 def test_plane_checks_refuse_curved_curves():
-    # the Steiner polynomials and L^2 - 4 pi A are plane formulas
+    # plane propagation moves points along plane normals
     with pytest.raises(ValueError):
-        isoperimetric_defect(sphere_circle(0.8), 0.1)
+        propagate(sphere_circle(0.8), 0.1)
     with pytest.raises(ValueError):
         propagate(hyperbolic_circle(0.8), 0.1)
 
@@ -141,34 +111,6 @@ def test_lemma_skips_near_critical_times(wavy_oval):
     t_star = -wavy_oval.L / TWO_PI
     rep = propagation_lemma_check(wavy_oval, [t_star + 1e-4])
     assert rep.skipped.all()
-
-
-def test_enclosure_inequality():
-    inner = unit_circle(256)
-    outer = ellipse_oval(2.0, 1.5, n_samples=256)
-    rep = enclosure_inequality_check(inner, outer)
-    assert rep.passed
-    assert rep.margin == pytest.approx(outer.L - TWO_PI, rel=1e-9)
-
-
-def test_enclosure_raises_when_not_contained():
-    inner = ellipse_oval(2.0, 1.5, n_samples=256)
-    outer = unit_circle(256)
-    with pytest.raises(NotContainedError):
-        enclosure_inequality_check(inner, outer)
-
-
-def test_enclosure_accepts_raw_point_loops():
-    inner = unit_circle(128)
-    u = np.linspace(0, TWO_PI, 400, endpoint=False)
-    loop = np.column_stack([2.2 * np.cos(u), 1.9 * np.sin(u)])
-    rep = enclosure_inequality_check(inner, loop)
-    assert rep.passed
-
-
-def test_tangent_winding_stays_one_for_regular_fronts(wavy_oval):
-    assert tangent_winding(propagate(wavy_oval, 0.3)) == 1
-    assert tangent_winding(propagate(wavy_oval, 1.5)) == 1
 
 
 @given(t=st.floats(min_value=-0.3, max_value=2.0))
