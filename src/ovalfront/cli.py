@@ -262,14 +262,19 @@ def cmd_analyze(args) -> int:
             "equidistant_like": int(np.sum(curve.curvature_class == EQUIDISTANT_LIKE)),
         }
 
+    # a plane curve's spectrum is that of its radius R = 1/k
+    poles = curve.geometry == EUCLIDEAN and not _convex(curve)
+    if poles:
+        report["note"] = "not convex: radius of curvature 1/k has poles; no spectrum written"
+
     if "csv" in args.format and profile is not None:
         specio.write_profile_csv(out / "analyze_profile.csv", profile)
-        if curve.geometry == EUCLIDEAN:
-            rp = radius_profile(curve)
-            sp = spectrum(rp.values - rp.mean)
-        else:
+        if curve.geometry != EUCLIDEAN:
             sp = spectrum(np.asarray(curve.k) - float(np.mean(curve.k)))
-        specio.write_spectrum_csv(out / "analyze_spectrum.csv", sp)
+            specio.write_spectrum_csv(out / "analyze_spectrum.csv", sp)
+        elif not poles:
+            rp = radius_profile(curve)
+            specio.write_spectrum_csv(out / "analyze_spectrum.csv", spectrum(rp.values - rp.mean))
         specio.write_curve_csv(out / "analyze_curve.csv", curve)
     if "svg" in args.format:
         _write_curve_svg(out / "analyze_curve.svg", [curve])
@@ -429,10 +434,14 @@ def _default_t_grid(curve):
     return list(np.linspace(-0.25, 0.5, 11))
 
 
+def _convex(curve) -> bool:
+    """min k > 0: what the four-point guarantee, its spectral form and R = 1/k need."""
+    return float(np.min(curve.k)) > 0.0
+
+
 def _verify_euclidean(curve, tol: float, t_values) -> _Suite:
     suite = _Suite()
-    # the four-point guarantee, and so its spectral form, needs k > 0
-    void = None if float(np.min(curve.k)) > 0.0 else "not convex: four-point guarantee void"
+    void = None if _convex(curve) else "not convex: four-point guarantee void"
     try:
         res = closure_residual(curve)
         suite.add(
@@ -495,7 +504,7 @@ def _verify_spherical(curve, tol: float, t_values) -> _Suite:
 
     _add_front_checks(suite, curve, tol, t_values, semigroup_times=(0.13, 0.21))
 
-    if float(np.min(curve.k)) > 0.0 and curve.pole is not None:
+    if _convex(curve) and curve.pole is not None:
         eq = equatorial_front(curve)
         emb = check_regular_embedded(curve, eq.t)
         ok = eq.area_gap < tol and emb.passed and (

@@ -17,15 +17,15 @@ mean?) lives here for the same reason.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
-from scipy.optimize import brentq
 
 from . import _kernels as kernels
+from ._scipy import BRENTQ_DEFAULTS, brentq, dgtsv, dgttrf, dgttrs
 from .errors import BadParametrizationError, DegenerateProfileError
 
 EUCLIDEAN = "euclidean"
@@ -428,13 +428,11 @@ def _bracketed_roots(g, pairs, param, period: float) -> np.ndarray:
     out: the sampled signs can flip on roundoff where ``g`` does not (a
     circle's front factor at its collapse time).
     """
-    # brentq's NaN guard holds its target in a reference cycle that only
-    # the garbage collector frees; brentq gets a proxy, and g (with the
-    # spline it reads) is let go on return
-    target = [g]
-
     def f(x):
-        return target[0](x)
+        gx = g(x)
+        if math.isnan(gx):  # scipy.optimize.brentq's guard, with its message
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return gx
 
     roots = []
     for i, j in pairs:
@@ -442,11 +440,10 @@ def _bracketed_roots(g, pairs, param, period: float) -> np.ndarray:
         if hi <= lo:  # bracket wraps past the end of the grid
             hi += period
         try:
-            roots.append(brentq(f, lo, hi, xtol=ROOT_XTOL) % period)
+            roots.append(brentq(f, lo, hi, ROOT_XTOL, *BRENTQ_DEFAULTS) % period)
         except ValueError as err:
             if "different signs" not in str(err):
                 raise
-    target.clear()
     return np.array(roots, dtype=float)
 
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, root
 
+from ._scipy import BRENTQ_DEFAULTS, brentq, hybrd as root
 from .curves import (
     HYPERBOLIC,
     SPACE_FORMS,
@@ -491,7 +491,7 @@ def build_rounded_semicircle(spec: RoundedSemicircleSpec) -> HyperbolicCurve:
     shots = {}
 
     def residual(v):
-        # hybr evaluates some vectors more than once (the guess three times);
+        # hybr evaluates some vectors more than once (the guess twice);
         # a shot depends on the exact floats only, so each is integrated once
         key = v.tobytes()
         if key not in shots:
@@ -499,13 +499,16 @@ def build_rounded_semicircle(spec: RoundedSemicircleSpec) -> HyperbolicCurve:
         return shots[key].copy()
 
     # shots at huge r overflow to inf or NaN, which the residual gate rejects;
-    # hybr returns the shot at its solution as sol.fun
+    # hybr returns the shot at its solution as info["fvec"].  The arguments
+    # are those scipy.optimize.root(method="hybr", options={"xtol": 1e-12})
+    # passes: full output, maxfev 200 (n + 1), a dense forward-difference
+    # Jacobian with step eps, factor 100 and MINPACK's own scaling
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = root(residual, guess, method="hybr", options={"xtol": 1e-12})
-        resid = float(np.linalg.norm(sol.fun))
+        solved = root(residual, guess, (), 1, 1e-12, 600, -10, -10, np.finfo(float).eps, 100, None)
+        resid = float(np.linalg.norm(solved[1]["fvec"]))
     if not resid <= 5e-10:  # a NaN residual fails too
         raise NumericalFailureError(f"corner shooting failed to close (residual {resid:.3g})")
-    half_flat, half_arc = sol.x
+    half_flat, half_arc = solved[0]
 
     arc_k = 1.0 / np.tanh(r)
     peak = _corner_peak(r, c, eps)
@@ -585,7 +588,8 @@ def counterexample_threshold() -> ThresholdReport:
     if len(flips) != 1:
         raise OvalfrontError(f"expected one threshold crossing, found {len(flips)}")
     i = int(flips[0])
-    r_star = brentq(semicircle_mean_gap, rs[i], rs[i + 1], xtol=1e-12)
+    # the gap is finite for every r > 0, so brentq needs no NaN guard here
+    r_star = brentq(semicircle_mean_gap, rs[i], rs[i + 1], 1e-12, *BRENTQ_DEFAULTS)
     return ThresholdReport(r_star=float(r_star), sign_changes=1)
 
 

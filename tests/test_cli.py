@@ -205,6 +205,35 @@ def test_cli_import_leaves_scipy_interpolate_out():
     assert proc.stdout.strip() == "False"
 
 
+SCIPY_EXTENSIONS = {"scipy.linalg._flapack", "scipy.optimize._minpack", "scipy.optimize._zeros"}
+
+
+@pytest.mark.parametrize("command", ["import", "verify", "counterexample"])
+def test_commands_leave_scipys_package_inits_out(tmp_path, command):
+    # the five routines come from SciPy's extension modules, loaded alone;
+    # MINPACK's hybrd then imports scipy._lib._ccallback on its first call,
+    # which runs scipy/__init__ but neither scipy.linalg nor scipy.optimize
+    run = {
+        "import": "",
+        "verify": f"['verify', '--input', {str(GOLDEN / 'oval_spec.json')!r}]",
+        "counterexample": "['counterexample', '--r', '2']",
+    }[command]
+    code = "import json, sys; from ovalfront.cli import main\n"
+    if run:
+        code += f"assert main({run} + ['--out', {str(tmp_path)!r}]) == 0\n"
+    code += "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert {m for m in loaded if m.startswith(("scipy.linalg", "scipy.optimize"))} == SCIPY_EXTENSIONS
+    if command != "counterexample":
+        assert loaded == SCIPY_EXTENSIONS
+    # what else is there is scipy/__init__'s own light imports and scipy._lib
+    assert all(m == "scipy" or m.split(".")[1].startswith("_") or m == "scipy.version"
+               for m in loaded - SCIPY_EXTENSIONS), sorted(loaded)
+
+
 def test_invalid_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -393,15 +422,19 @@ def test_verify_circle_skips_degenerate_checks(tmp_path):
     assert abs(critical["signed_length"]) < 1e-12
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_verify_voids_the_four_point_checks_of_a_nonconvex_loop(tmp_path):
+def _write_dented_loop(tmp_path):
     # r = 1 + 0.3 cos 2u dents inward at u = +-pi/2 (min k about -1.02): the
     # theorem owes it no four points, and its radius 1/k is unbounded
     u = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
     r = 1.0 + 0.3 * np.cos(2.0 * u)
-    spec = write_spec(tmp_path, {"geometry": "euclidean", "representation": "samples",
+    return write_spec(tmp_path, {"geometry": "euclidean", "representation": "samples",
                                  "points": np.column_stack([r * np.cos(u),
                                                             r * np.sin(u)]).tolist()})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_voids_the_four_point_checks_of_a_nonconvex_loop(tmp_path):
+    spec = _write_dented_loop(tmp_path)
     code = main(["verify", "--input", spec, "--out", str(tmp_path), "--samples", "1024"])
     report = read_report(tmp_path, "verify_report.json")
     assert code == EXIT_PASS, report["checks"]
@@ -412,6 +445,23 @@ def test_verify_voids_the_four_point_checks_of_a_nonconvex_loop(tmp_path):
         assert by_name[name]["note"] == "not convex: four-point guarantee void"
     assert by_name["four_point"]["attainment_count"] == 4
     assert by_name["critical_front"]["cusp_count"] == 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analyze_writes_no_spectrum_for_a_nonconvex_loop(tmp_path):
+    # the plane spectrum is that of R = 1/k; on this loop its n = 0 row read
+    # 8.27, the mean over the poles, where L / 2 pi = 1.086
+    spec = _write_dented_loop(tmp_path)
+    code = main(["analyze", "--input", spec, "--out", str(tmp_path), "--samples", "1024",
+                 "--format", "csv,json"])
+    assert code == EXIT_PASS
+    assert not (tmp_path / "analyze_spectrum.csv").exists()
+    for name in ("analyze_profile.csv", "analyze_curve.csv"):
+        assert (tmp_path / name).exists(), name
+    report = read_report(tmp_path, "analyze_report.json")
+    assert report["min_curvature"] < 0.0
+    assert report["note"] == "not convex: radius of curvature 1/k has poles; no spectrum written"
+    assert report["attainment_count"] == 4
 
 
 @pytest.mark.parametrize("spec, name", [("oval", "critical_front"),

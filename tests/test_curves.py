@@ -108,8 +108,9 @@ def test_bracketed_roots_leave_out_brackets_without_a_sign_change():
 
 
 def test_bracketed_roots_let_go_of_their_target():
-    # brentq's NaN guard keeps its callable in a reference cycle; the target
-    # (a front's curvature spline, say) must not wait for the garbage collector
+    # the NaN guard around the target must not keep it in a reference cycle;
+    # the target (a front's curvature spline, say) must not wait for the
+    # garbage collector
     class Target:
         def __call__(self, s):
             return np.cos(s)

@@ -260,14 +260,14 @@ def test_semicircle_closes_on_the_hyperboloid(r):
     assert np.max(np.abs(mdot(x, tvec))) <= 1e-10
 
 
-# distinct shots per solve; hybr makes 8 and 9 residual calls, the first
-# three all at the guess
+# distinct shots per solve; hybr makes 7 and 8 residual calls, the first
+# two both at the guess
 SEMICIRCLE_SHOTS = {0.9: 6, 2.0: 7}
 
 
 @pytest.mark.parametrize("r", sorted(SEMICIRCLE_SHOTS))
 def test_semicircle_gates_on_the_solvers_own_residual(r, monkeypatch):
-    # the closure gate reads hybr's sol.fun: after the solve, only the
+    # the closure gate reads hybr's info["fvec"]: after the solve, only the
     # final build integrates the frame; during it, each distinct vector
     # hybr passes is integrated once
     calls = []
@@ -279,25 +279,25 @@ def test_semicircle_gates_on_the_solvers_own_residual(r, monkeypatch):
         calls.append(1)
         return integrate(*args)
 
-    def counted_root(fun, x0, **kwargs):
-        vectors = set()
+    def counted_root(fun, *args):
+        vectors = []
 
         def recorded(v):
-            vectors.add(v.tobytes())
+            vectors.append(v.tobytes())
             return fun(v)
 
-        sol = solve(recorded, x0, **kwargs)
-        solves.append((sol, len(calls), len(vectors)))
-        return sol
+        solved = solve(recorded, *args)
+        solves.append((solved, len(calls), len(vectors), len(set(vectors))))
+        return solved
 
     monkeypatch.setattr(hyperbolic, "_integrate_profile", counted_integrate)
     monkeypatch.setattr(hyperbolic, "root", counted_root)
     curve = build_rounded_semicircle(RoundedSemicircleSpec(r=r, n_samples=256))
-    [(sol, during_solve, distinct)] = solves
+    [(solved, during_solve, residual_calls, distinct)] = solves
     assert during_solve == distinct == SEMICIRCLE_SHOTS[r]
-    assert distinct < sol.nfev
+    assert distinct < residual_calls
     assert len(calls) == during_solve + 1
-    assert float(np.linalg.norm(sol.fun)) <= 5e-10
+    assert float(np.linalg.norm(solved[1]["fvec"])) <= 5e-10
     assert curve.build_residual < 1e-10
 
 
