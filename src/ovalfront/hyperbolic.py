@@ -290,7 +290,17 @@ _C = _E @ _F - _F @ _E
 
 MAGNUS_STEP = 0.0125  # h * max(1, |k|) of one Magnus step on a curvature ramp
 AREA_PANEL = 0.25  # arc length * max(1, |k|) of one area quadrature panel
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# numpy.polynomial.legendre.leggauss(8), written out so that importing this
+# module does not import numpy.polynomial; a test checks them bit for bit
+_GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
+FRAME_CHUNK = 512  # samples per block of frames_at's (m, 3, 3) temporaries
 
 
 def _so21_exp(a, b, c) -> np.ndarray:
@@ -376,17 +386,28 @@ def _integrate_profile(knots, values):
     x0, t0 = _START_STATE[0:3], _START_STATE[3:6]
     counts = np.where(values[1:] != values[:-1], _parts(knots, values, MAGNUS_STEP), 1)
     nodes, h, k_nodes, slopes = _subdivide(knots, values, counts)
-    frames = np.empty((len(nodes) + 1, 3, 3))
-    frames[0] = x0, t0, mcross(t0, x0)
-    for step, before, after in zip(_propagators(h, k_nodes, slopes), frames[:-1], frames[1:]):
-        np.matmul(step, before, out=after)
+    frame = np.array([x0, t0, mcross(t0, x0)])
+    trail = [frame]
+    for step in _propagators(h, k_nodes, slopes):
+        frame = step.dot(frame)
+        trail.append(frame)
+    frames = None
 
     def frames_at(s):
-        # one partial step from the node at or before each s
+        # one partial step from the node at or before each s, in blocks of
+        # FRAME_CHUNK samples; the frames at the nodes are stacked on first use
+        nonlocal frames
+        if frames is None:
+            frames = np.array(trail)
         j = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 1)
-        return _propagators(s - nodes[j], k_nodes[j], slopes[j]) @ frames[j]
+        out = np.empty((len(s), 3, 3))
+        for lo in range(0, len(s), FRAME_CHUNK):
+            part = j[lo:lo + FRAME_CHUNK]
+            step = _propagators(s[lo:lo + FRAME_CHUNK] - nodes[part], k_nodes[part], slopes[part])
+            np.matmul(step, frames[part], out=out[lo:lo + FRAME_CHUNK])
+        return out
 
-    return frames[-1, 0:2].ravel(), frames_at
+    return frame[0:2].ravel(), frames_at
 
 
 # ---------------------------------------------------------------------------

@@ -205,33 +205,41 @@ def test_cli_import_leaves_scipy_interpolate_out():
     assert proc.stdout.strip() == "False"
 
 
-SCIPY_EXTENSIONS = {"scipy.linalg._flapack", "scipy.optimize._minpack", "scipy.optimize._zeros"}
+ROOT_FINDERS = {"scipy.optimize._minpack", "scipy.optimize._zeros"}
+LAPACK = "scipy.linalg._flapack"
 
 
-@pytest.mark.parametrize("command", ["import", "verify", "counterexample"])
+@pytest.mark.parametrize("command", ["import", "verify", "counterexample", "sphere"])
 def test_commands_leave_scipys_package_inits_out(tmp_path, command):
-    # the five routines come from SciPy's extension modules, loaded alone;
-    # MINPACK's hybrd then imports scipy._lib._ccallback on its first call,
-    # which runs scipy/__init__ but neither scipy.linalg nor scipy.optimize
+    # the five routines come from SciPy's extension modules, loaded alone:
+    # the root finders' with the package, LAPACK's on the first spline build,
+    # which a plane verify and counterexample never make and a sphere verify
+    # does.  MINPACK's hybrd then imports scipy._lib._ccallback on its first
+    # call, which runs scipy/__init__ but neither scipy.linalg nor scipy.optimize
     run = {
         "import": "",
         "verify": f"['verify', '--input', {str(GOLDEN / 'oval_spec.json')!r}]",
         "counterexample": "['counterexample', '--r', '2']",
+        "sphere": f"['verify', '--input', {str(GOLDEN / 'sphere_spec.json')!r}]",
     }[command]
     code = "import json, sys; from ovalfront.cli import main\n"
     if run:
         code += f"assert main({run} + ['--out', {str(tmp_path)!r}]) == 0\n"
-    code += "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+    code += ("print(json.dumps([m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')]))")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
-    assert {m for m in loaded if m.startswith(("scipy.linalg", "scipy.optimize"))} == SCIPY_EXTENSIONS
+    # the Gauss-Legendre nodes are literals, so numpy.polynomial stays out too
+    assert not any(m.startswith("numpy.polynomial") for m in loaded), sorted(loaded)
+    expected = ROOT_FINDERS | ({LAPACK} if command == "sphere" else set())
+    assert {m for m in loaded if m.startswith(("scipy.linalg", "scipy.optimize"))} == expected
     if command != "counterexample":
-        assert loaded == SCIPY_EXTENSIONS
+        assert loaded == expected
     # what else is there is scipy/__init__'s own light imports and scipy._lib
     assert all(m == "scipy" or m.split(".")[1].startswith("_") or m == "scipy.version"
-               for m in loaded - SCIPY_EXTENSIONS), sorted(loaded)
+               for m in loaded - expected), sorted(loaded)
 
 
 def test_invalid_json_exits_2(tmp_path):

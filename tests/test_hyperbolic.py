@@ -397,6 +397,14 @@ def test_so21_exponential_matches_expm():
         np.testing.assert_allclose(exps[i], expm(np.array(omega)), rtol=0, atol=1e-14)
 
 
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(8)
+    assert np.array_equal(hyperbolic._GL_NODES.view(np.int64), nodes.view(np.int64))
+    assert np.array_equal(hyperbolic._GL_WEIGHTS.view(np.int64), weights.view(np.int64))
+
+
 def test_spec_validation():
     with pytest.raises(InvalidSpecError):
         hyperbolic_circle(0.0)

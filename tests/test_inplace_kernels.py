@@ -1,17 +1,20 @@
 """The in-place curve kernels against the NumPy expressions they replace, bit for bit.
 
 Each reference below is the expression the kernel used to evaluate with
-fresh temporaries.  The kernels now write into preallocated arrays in the
-same order, so every float must come out with the same bit pattern,
-signed zeros and infinities included (NaNs compare as one NaN), and no
-kernel may modify its input or return memory that an input owns.
+fresh temporaries, or, for the semicircle's frame flow, in one piece.  The
+kernels now write into preallocated arrays in the same order, so every
+float must come out with the same bit pattern, signed zeros and infinities
+included (NaNs compare as one NaN), and no kernel may modify its input or
+return memory that an input owns.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ovalfront import hyperbolic
 from ovalfront._kernels import periodic_deriv
 from ovalfront.curves import (
     arclength_resample,
@@ -282,3 +285,85 @@ def test_front_k_and_normal_leave_the_shared_stencil_alone():
         for out in (k, normal):
             assert not np.shares_memory(out, d1)
             assert not np.shares_memory(out, front.points)
+
+
+# ---------------------------------------------------------------------------
+# the semicircle's frame flow
+
+
+def _matmul_integrate_profile(knots, values):
+    """The frame flow with one ``np.matmul(..., out=)`` per step into a stacked
+    (N + 1, 3, 3) array, and ``frames_at`` in one piece over all of ``s``."""
+    knots = np.asarray(knots, dtype=float)
+    values = np.asarray(values, dtype=float)
+    x0, t0 = hyperbolic._START_STATE[0:3], hyperbolic._START_STATE[3:6]
+    parts = hyperbolic._parts(knots, values, hyperbolic.MAGNUS_STEP)
+    counts = np.where(values[1:] != values[:-1], parts, 1)
+    nodes, h, k_nodes, slopes = hyperbolic._subdivide(knots, values, counts)
+    frames = np.empty((len(nodes) + 1, 3, 3))
+    frames[0] = x0, t0, hyperbolic.mcross(t0, x0)
+    for step, before, after in zip(hyperbolic._propagators(h, k_nodes, slopes),
+                                   frames[:-1], frames[1:]):
+        np.matmul(step, before, out=after)
+
+    def frames_at(s):
+        j = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 1)
+        return hyperbolic._propagators(s - nodes[j], k_nodes[j], slopes[j]) @ frames[j]
+
+    return frames[-1, 0:2].ravel(), frames_at
+
+
+@pytest.mark.parametrize("r", [0.9, 1.6, 2.0])
+def test_semicircle_frames_match_the_matmul_loop_bit_for_bit(r, monkeypatch):
+    # every shot hybr takes, and the final build's samples and Green panel
+    # nodes, against the stacked matmul loop
+    integrations, reads = [], []
+    integrate = hyperbolic._integrate_profile
+
+    def recorded(knots, values):
+        end, frames_at = integrate(knots, values)
+        integrations.append((np.array(knots), np.array(values), end.copy()))
+
+        def read(s):
+            frames = frames_at(s)
+            reads.append((np.array(knots), np.array(values), np.array(s), frames))
+            return frames
+
+        return end, read
+
+    monkeypatch.setattr(hyperbolic, "_integrate_profile", recorded)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hyperbolic.build_rounded_semicircle(hyperbolic.RoundedSemicircleSpec(r=r))
+        assert len(integrations) > 5
+        for knots, values, end in integrations:
+            assert same_bits(end, _matmul_integrate_profile(knots, values)[0])
+    # the final build reads the samples, then the area's Gauss panel nodes
+    samples, panel_nodes = reads
+    assert len(samples[2]) == 4096
+    for knots, values, s, frames in (samples, panel_nodes):
+        assert same_bits(frames, _matmul_integrate_profile(knots, values)[1](s))
+
+
+@pytest.mark.parametrize("n", [1, hyperbolic.FRAME_CHUNK - 1, hyperbolic.FRAME_CHUNK + 1,
+                               3 * hyperbolic.FRAME_CHUNK + 7])
+def test_chunked_frames_at_matches_the_one_piece_product_bit_for_bit(n):
+    knots, values = hyperbolic._half_profile(1.6, 0.02, 0.05, 1.55, 3.7)
+    end, frames_at = hyperbolic._integrate_profile(knots, values)
+    ref_end, ref_frames_at = _matmul_integrate_profile(knots, values)
+    assert same_bits(end, ref_end)
+    # samples over the profile, one past its end, in no particular order
+    s = np.random.default_rng(n).uniform(0.0, knots[-1], n)
+    s[0] = knots[-1] + 0.1
+    assert same_bits(frames_at(s), ref_frames_at(s))
+    # the area quadrature's Gauss panel nodes
+    panel_nodes = []
+
+    def read(s):
+        panel_nodes.append(s)
+        return frames_at(s)
+
+    center = np.array([np.cosh(0.3), np.sinh(0.3), 0.0])
+    hyperbolic._green_area(read, knots, values, center)
+    [s] = panel_nodes
+    assert len(s) % hyperbolic.FRAME_CHUNK != 0
+    assert same_bits(frames_at(s), ref_frames_at(s))

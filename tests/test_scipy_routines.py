@@ -35,11 +35,32 @@ def same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
-def test_the_routines_are_scipys_own_objects():
-    for name in ("dgtsv", "dgttrf", "dgttrs"):
-        assert getattr(_scipy, name) is getattr(scipy.linalg.lapack, name), name
-        assert getattr(curves, name) is getattr(scipy.linalg.lapack, name), name
-    # a later import of the packages reused the modules loaded by path
+def test_the_routines_are_scipys_own_objects(monkeypatch):
+    # LAPACK's extension module loads on the first spline build (here the
+    # import of scipy.linalg.lapack above may have come first: either way it
+    # is one module object), and each call looks its routine up there
+    flapack = sys.modules["scipy.linalg._flapack"]
+    assert _scipy._load_extension("scipy.linalg._flapack") is flapack
+    names = ("dgtsv", "dgttrf", "dgttrs")
+    called = set()
+    for name in names:
+        routine = getattr(flapack, name)
+        assert routine is getattr(scipy.linalg.lapack, name), name
+        assert getattr(curves, name) is getattr(_scipy, name), name
+
+        def spy(*args, _routine=routine, **kwargs):
+            called.add(_routine)
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(flapack, name, spy)
+    # a periodic grid of 5 knots or more factors once with dgttrf and solves
+    # with dgttrs; a not-a-knot spline solves with dgtsv
+    x = np.linspace(0.0, 1.0, 7)
+    curves._SplineGrid(x, periodic=True).spline(np.sin(TWO_PI * x))
+    curves._SplineGrid(x, periodic=False).spline(x**3)
+    assert called == {getattr(scipy.linalg.lapack, name) for name in names}
+    # the root finders are bound at import, as SciPy's own builtins; a later
+    # import of the packages reused the modules loaded by path
     assert sys.modules["scipy.optimize._zeros"]._brentq is _scipy.brentq is curves.brentq
     assert sys.modules["scipy.optimize._minpack"]._hybrd is _scipy.hybrd is hyperbolic.root
 
