@@ -57,14 +57,12 @@ from .hyperbolic import (
     RoundedSemicircleSpec,
     counterexample_threshold,
     counterexample_verdict,
-    propagate_hyperbolic,
     semicircle_mean_gap,
     semicircle_reference,
 )
 from .sphere import (
     check_regular_embedded,
     equatorial_front,
-    propagate_sphere,
     tennis_ball_check,
     total_torsion,
 )
@@ -218,10 +216,6 @@ def _by_K(curve, plane, sphere, hyperboloid):
     return (plane, sphere, hyperboloid)[space_form(curve.geometry).K]
 
 
-def _front_for(curve, t: float):
-    return _by_K(curve, propagate, propagate_sphere, propagate_hyperbolic)(curve, t)
-
-
 def _write_curve_svg(path, curves) -> None:
     """Plane drawing, orthographic sphere view or Klein disc, by geometry."""
     writer = _by_K(curves[0], specio.write_plane_svg, specio.write_sphere_svg,
@@ -292,7 +286,7 @@ def cmd_propagate(args) -> int:
     snapshots = []
     fronts = []
     for i, t in enumerate(t_values):
-        front = _front_for(curve, t)
+        front = propagate(curve, t)
         fronts.append(front)
         len_pred, area_pred = steiner_closed_form(curve, t)
         snapshots.append(
@@ -348,7 +342,7 @@ def _add_front_checks(suite: _Suite, curve, tol: float, t_values, semigroup_time
     compare nothing is skipped with a note.
     """
     distinct = len(set(t_values)) >= 2
-    fronts = (_front_for(curve, t) for t in t_values)
+    fronts = (propagate(curve, t) for t in t_values)
     if space_form(curve.geometry).K:
         defects, lemma = sweep_fronts(curve, fronts)
     else:
@@ -378,8 +372,8 @@ def _add_front_checks(suite: _Suite, curve, tol: float, t_values, semigroup_time
 
     if semigroup_times is not None:
         a, b = semigroup_times
-        two_step = _front_for(_front_for(curve, a), b)
-        one_step = _front_for(curve, a + b)
+        two_step = propagate(propagate(curve, a), b)
+        one_step = propagate(curve, a + b)
         gap = float(np.max(np.linalg.norm(two_step.points - one_step.points, axis=1)))
         suite.add("semigroup", bool(gap < 1e-8), pointwise_gap=gap)
 
@@ -410,7 +404,7 @@ def _add_critical_front(suite: _Suite, curve, tol: float, name: str, record_t=Fa
     the check on a curve that the guarantee does not cover.
     """
     t = critical_time(curve)
-    front = _front_for(curve, t)
+    front = propagate(curve, t)
     try:
         curvature_profile(curve)
     except DegenerateProfileError:

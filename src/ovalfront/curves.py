@@ -166,12 +166,13 @@ class SpaceForm:
     with n the surface normal at x (x itself on the sphere and hyperboloid,
     e_z for the plane at z = 1).  ``front_anchor(points, curve)`` is the
     area anchor (pole or centre) a front of ``curve`` takes from it and keeps
-    for its own fronts; ``front_area(points, anchor, period)`` is the
-    enclosed area of front samples about it.  ``critical_time(L, b)`` is the
-    t < 0 where L c_K(t) + b s_K(t) vanishes, b = 2 pi - K A.  ``polar(r,
-    phi)`` is the point at distance r and angle phi from the model's centre
-    (the north pole, the hyperboloid vertex); the plane builds no polar
-    curves.
+    for its own fronts.  ``critical_time(L, b)`` is the t < 0 where
+    L c_K(t) + b s_K(t) vanishes, b = 2 pi - K A.  ``cusp_onset(k)`` is the
+    earliest t that :func:`~ovalfront.wavefront.propagate` accepts for a
+    curve of curvature k: -inf, except on the hyperboloid for a curve that is
+    not horocyclically convex.  ``polar(r, phi)`` is the point at distance r
+    and angle phi from the model's centre (the north pole, the hyperboloid
+    vertex); the plane builds no polar curves.
     """
 
     geometry: str
@@ -181,8 +182,8 @@ class SpaceForm:
     dot: Callable
     cross: Callable
     front_anchor: Callable
-    front_area: Callable
     critical_time: Callable[[float, float], float]
+    cusp_onset: Callable[[np.ndarray], float] = lambda k: -np.inf
     polar: Optional[Callable] = None
 
     def norm(self, v: np.ndarray) -> np.ndarray:
@@ -233,6 +234,12 @@ class SpaceForm:
         dphi *= self.green_weight(points, center)
         return float(np.sum(dphi) * spacing)
 
+    def front_area(self, points: np.ndarray, anchor, period: float) -> float:
+        """Enclosed area of front samples: parametric in the plane, else Green about ``anchor``."""
+        if self.K == 0:
+            return parametric_area(points, period)
+        return self.green_area(points, anchor, period / len(points))
+
 
 def euclidean_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean inner product over the last axis; neither input is modified.
@@ -259,7 +266,6 @@ PLANE = SpaceForm(
     dot=euclidean_dot,
     cross=lambda v, x: np.column_stack([v[:, 1], -v[:, 0]]),
     front_anchor=lambda points, curve: None,
-    front_area=lambda points, anchor, period: parametric_area(points, period),
     critical_time=lambda length, b: -(length / b),
 )
 

@@ -36,7 +36,6 @@ from .curves import (
     HYPERBOLIC,
     SPACE_FORMS,
     TWO_PI,
-    Front,
     SampledCurve,
     SpaceForm,
     cross3,
@@ -44,7 +43,6 @@ from .curves import (
     harmonic_radius,
     polar_circle,
     polar_curve,
-    propagate_front,
     resample_surface_loop,
     unit_speed_curvature,
 )
@@ -52,7 +50,6 @@ from .errors import (
     BadParametrizationError,
     CothDomainError,
     InvalidSpecError,
-    NotHorocyclicallyConvexError,
     NumericalFailureError,
     OvalfrontError,
 )
@@ -123,21 +120,7 @@ def classify_curvature(k: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# differential quantities
-
-
-def geodesic_curvature_h(points: np.ndarray, spacing: float):
-    """Geodesic curvature and outward conormal of unit-speed hyperboloid samples.
-
-    Returns ``(k, nu, d1)``.  The Minkowski speed must equal 1 within
-    ``SPEED_TOL``.
-    """
-    return unit_speed_curvature(points, spacing, HYPERBOLOID)
-
-
-def hyperbolic_area_green(points: np.ndarray, center: np.ndarray, spacing: float) -> float:
-    """Enclosed area by the polar identity A = loop(cosh r - 1) dphi about center."""
-    return HYPERBOLOID.green_area(points, center, spacing)
+# the space form
 
 
 def _front_anchor(points: np.ndarray, curve) -> np.ndarray:
@@ -148,17 +131,25 @@ def _front_anchor(points: np.ndarray, curve) -> np.ndarray:
     return np.asarray(center, dtype=float)
 
 
-def _front_area(points: np.ndarray, center: np.ndarray, period: float) -> float:
-    """Green area of front samples about the centre the front keeps."""
-    return hyperbolic_area_green(points, center, period / len(points))
-
-
 def _collapse_time(length: float, b: float) -> float:
     """t = -arccoth(kbar), kbar = b/L = (2 pi + A)/L: the front collapses there."""
     kbar = b / length
     if kbar <= 1.0 + 1e-12:
         raise CothDomainError(f"mean curvature {kbar:.6g} <= 1: no collapse time")
     return float(-0.5 * np.log((kbar + 1.0) / (kbar - 1.0)))
+
+
+def _cusp_onset(k: np.ndarray) -> float:
+    """-arctanh(1/max k): the t < 0 where cosh t + k sinh t first vanishes.
+
+    -inf on a horocyclically convex curve, whose inward fronts the closed
+    forms describe up to collapse, and where no k exceeds 1 (a front's NaN
+    cusp samples included).
+    """
+    top = float(np.max(k))
+    if np.min(k) > 1.0 + HOROCYCLIC_MARGIN or not top > 1.0:
+        return -np.inf
+    return -float(np.arctanh(1.0 / top))
 
 
 HYPERBOLOID = SPACE_FORMS[HYPERBOLIC] = SpaceForm(
@@ -169,8 +160,8 @@ HYPERBOLOID = SPACE_FORMS[HYPERBOLIC] = SpaceForm(
     dot=mdot,
     cross=mcross,
     front_anchor=_front_anchor,
-    front_area=_front_area,
     critical_time=_collapse_time,
+    cusp_onset=_cusp_onset,
     polar=lambda r, phi: np.column_stack(
         [np.cosh(r), np.sinh(r) * np.cos(phi), np.sinh(r) * np.sin(phi)]
     ),
@@ -185,10 +176,10 @@ def _finish_hyperbolic_curve(points, s, length, center=None, curv_fn=None) -> Hy
     points = normalize_timelike(np.asarray(points, dtype=float))
     n = len(points)
     spacing = length / n
-    k, nu, _ = geodesic_curvature_h(points, spacing)
+    k, nu, _ = unit_speed_curvature(points, spacing, HYPERBOLOID)
     if center is None:
         center = normalize_timelike(points.mean(axis=0))
-    area = hyperbolic_area_green(points, center, spacing)
+    area = HYPERBOLOID.green_area(points, center, spacing)
     w = np.full(n, spacing)
     gb = abs(float(np.sum(k) * spacing) - (TWO_PI + area))
     s_arr = np.asarray(s, dtype=float)
@@ -242,36 +233,6 @@ def hyperbolic_curve_from_points(points, n_samples: int = 1024) -> HyperbolicCur
         raise BadParametrizationError("input points must satisfy <x,x> = -1")
     loop = resample_surface_loop(raw, n_samples, HYPERBOLOID, normalize_timelike)
     return _finish_hyperbolic_curve(*loop)
-
-
-# ---------------------------------------------------------------------------
-# propagation
-
-
-def _first_cusp_time(k: np.ndarray) -> float:
-    """Most recent negative t at which cosh t + k sinh t first vanishes."""
-    top = float(np.max(k))
-    if top <= 1.0:
-        return -np.inf
-    return -float(np.arctanh(1.0 / top))
-
-
-def propagate_hyperbolic(curve, t: float) -> Front:
-    """Front at signed distance t along the outward conormal field.
-
-    Non-horocyclically-convex input is accepted for t >= 0 and for
-    negative t up to the first cusp onset; beyond that the closed forms
-    stop describing the front and the call refuses.
-    :func:`~ovalfront.curves.propagate_front` is the unguarded front.
-    """
-    k = np.asarray(curve.k, dtype=float)
-    onset = _first_cusp_time(k)
-    if not np.min(k) > 1.0 + HOROCYCLIC_MARGIN and t < onset:
-        raise NotHorocyclicallyConvexError(
-            f"t = {t:.6g} lies past the first cusp onset at t = {onset:.6g}; "
-            "negative-time propagation beyond it needs a horocyclically convex curve"
-        )
-    return propagate_front(curve, t)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .curves import (
     harmonic_radius,
     polar_circle,
     polar_curve,
-    propagate_front,
     resample_surface_loop,
     unit_speed_curvature,
 )
@@ -48,6 +47,7 @@ from .errors import (
     NotInHemisphereError,
     NumericalFailureError,
 )
+from .wavefront import propagate
 
 UNIT_NORM_TOL = 1e-10
 FRENET_TOL = 1e-6
@@ -78,16 +78,7 @@ class SphereCurve(SampledCurve):
 
 
 # ---------------------------------------------------------------------------
-# differential quantities
-
-
-def geodesic_curvature(points: np.ndarray, spacing: float):
-    """Geodesic curvature and outward conormal of unit-speed samples.
-
-    Returns ``(k_g, nu, d1)``.  Raises :class:`BadParametrizationError`
-    when the speed strays from 1 by more than 1e-6.
-    """
-    return unit_speed_curvature(points, spacing, SPHERE)
+# diameter and the fan area oracle
 
 
 def spherical_diameter(points: np.ndarray) -> float:
@@ -127,15 +118,6 @@ def spherical_diameter(points: np.ndarray) -> float:
     return float(np.arccos(np.clip(lowest, -1.0, 1.0)))
 
 
-# ---------------------------------------------------------------------------
-# area oracles
-
-
-def spherical_area_green(points: np.ndarray, pole: np.ndarray, spacing: float) -> float:
-    """Enclosed area by the polar Green identity A = loop(1 - cos r) dphi about ``pole``."""
-    return SPHERE.green_area(points, pole, spacing)
-
-
 def spherical_area_fan(points: np.ndarray, apex: np.ndarray) -> float:
     """Signed spherical area as a fan of triangle excesses from ``apex``."""
     b = points
@@ -143,11 +125,6 @@ def spherical_area_fan(points: np.ndarray, apex: np.ndarray) -> float:
     num = np.einsum("j,ij->i", apex, cross3(b, c))
     den = 1.0 + b @ apex + np.einsum("ij,ij->i", b, c) + c @ apex
     return float(np.sum(2.0 * np.arctan2(num, den)))
-
-
-def _front_area(points: np.ndarray, anchor: np.ndarray, period: float) -> float:
-    """Green area of front samples about the anchor the front keeps from its base."""
-    return spherical_area_green(points, anchor, period / len(points))
 
 
 SPHERE = SPACE_FORMS[SPHERICAL] = SpaceForm(
@@ -158,7 +135,6 @@ SPHERE = SPACE_FORMS[SPHERICAL] = SpaceForm(
     dot=euclidean_dot,
     cross=cross3,
     front_anchor=lambda points, curve: curve.anchor,
-    front_area=_front_area,
     critical_time=lambda length, b: -float(np.arctan(length / b)),
     polar=lambda th, phi: np.column_stack(
         [np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)]
@@ -181,7 +157,7 @@ def _finish_sphere_curve(points, s, length, area_pole=None, curv_fn=None) -> Sph
         points = points / norms[:, None]
     n = len(points)
     spacing = length / n
-    k, nu, _ = geodesic_curvature(points, spacing)
+    k, nu, _ = unit_speed_curvature(points, spacing, SPHERE)
     w = np.full(n, spacing)
 
     mean = points.mean(axis=0)
@@ -200,7 +176,7 @@ def _finish_sphere_curve(points, s, length, area_pole=None, curv_fn=None) -> Sph
     # pole's side, else about the area pole: for a cap larger than a
     # hemisphere the witness is the far pole, about which the area is A - 4 pi
     anchor = witness if witness is not None and witness @ pole > 0.0 else pole
-    area = spherical_area_green(points, pole, spacing)
+    area = SPHERE.green_area(points, pole, spacing)
     fan = spherical_area_fan(points, pole)
     # polygonized fan converges O(n^-2); keep a floor so coarse grids do
     # not false-alarm while orientation bugs (O(1) disagreement) still trip
@@ -288,11 +264,6 @@ def sphere_curve_from_points(points, n_samples: int = 1024) -> SphereCurve:
 # fronts
 
 
-def propagate_sphere(curve, t: float) -> Front:
-    """Front at signed distance t along the outward conormal field."""
-    return propagate_front(curve, t)
-
-
 @dataclass(frozen=True, eq=False)
 class EquatorialReport:
     front: Front
@@ -326,7 +297,7 @@ def equatorial_front(curve: SphereCurve) -> EquatorialReport:
     if curve.A >= TWO_PI:
         raise NotInHemisphereError("base curve already encloses half the sphere")
     t = float(np.arctan((TWO_PI - curve.A) / curve.L))
-    front = propagate_sphere(curve, t)
+    front = propagate(curve, t)
     kf = front.k
     if np.any(~np.isfinite(kf)):
         raise BadParametrizationError("equatorial front is not regular")

@@ -1,10 +1,12 @@
-"""Equidistant wavefront propagation in the Euclidean plane.
+"""Equidistant fronts in every geometry, and the plane's Steiner and lemma checks.
 
 The front at time t moves every point a distance t along the outward
-normal.  Curvature radii shift by t, so fronts of convex ovals develop
-cusps exactly where R(s) = -t; lengths and areas obey the Steiner
-polynomials L_t = L + 2 pi t and A_t = A + L t + pi t^2 in signed form,
-and the isoperimetric defect L^2 - 4 pi A is invariant in t.
+conormal, in every geometry through :func:`propagate`.  In the plane
+curvature radii shift by t, so fronts of convex ovals develop cusps exactly
+where R(s) = -t; lengths and areas obey the Steiner polynomials
+L_t = L + 2 pi t and A_t = A + L t + pi t^2 in signed form, and the
+isoperimetric defect L^2 - 4 pi A is invariant in t.  The two checks here
+compare with those plane closed forms, so they take plane curves only.
 """
 
 from __future__ import annotations
@@ -24,14 +26,28 @@ from .curves import (
     curvature_profile,
     eval_scalar,
     propagate_front,
+    space_form,
     steiner_closed_form,
 )
+from .errors import NotHorocyclicallyConvexError
 
 
-def propagate(curve: SampledCurve, t: float) -> Front:
-    """Propagate an oval a signed distance t along its outward normals."""
-    if curve.geometry != EUCLIDEAN:
-        raise ValueError("plane propagation needs a Euclidean curve")
+def propagate(curve, t: float) -> Front:
+    """Front of a curve at signed distance t along its outward conormals, in every geometry.
+
+    On the sphere and the hyperboloid the curve may itself be a front.  A t
+    before the cusp onset of the curve's space form raises
+    :class:`NotHorocyclicallyConvexError`: a hyperbolic curve that is not
+    horocyclically convex is refused past its first cusp, where the closed
+    forms stop describing the front.  :func:`~ovalfront.curves.propagate_front`
+    is the unguarded front.
+    """
+    onset = space_form(curve.geometry).cusp_onset(np.asarray(curve.k, dtype=float))
+    if t < onset:
+        raise NotHorocyclicallyConvexError(
+            f"t = {t:.6g} lies past the first cusp onset at t = {onset:.6g}; "
+            "negative-time propagation beyond it needs a horocyclically convex curve"
+        )
     return propagate_front(curve, t)
 
 
@@ -57,6 +73,8 @@ def steiner_check(curve: SampledCurve, t_values: Sequence[float], tol: float = 1
     differentiates the measured quantities over the grid and checks
     dL/dt = 2 pi and dA/dt = L_t (the grid needs >= 3 points for that).
     """
+    if curve.geometry != EUCLIDEAN:
+        raise ValueError("the Steiner check needs a Euclidean curve")
     ts = np.asarray(list(t_values), dtype=float)
     lm = np.empty_like(ts)
     am = np.empty_like(ts)
@@ -94,8 +112,11 @@ def propagation_lemma_check(curve: SampledCurve, t_values: Sequence[float]) -> L
 
     At every parameter with k(s) = kbar, the front curvature must equal
     kbar_t = 2 pi / (L + 2 pi t).  Times within ``LEMMA_GUARD`` of the critical
-    time (where kbar_t blows up) are skipped and reported as such.
+    time (where kbar_t blows up) are skipped and reported as such.  Curved
+    geometries take :func:`~ovalfront.curves.mean_attainment_front_check`.
     """
+    if curve.geometry != EUCLIDEAN:
+        raise ValueError("the plane propagation lemma needs a Euclidean curve")
     profile = curvature_profile(curve)
     stars = profile.crossing_params
     k_star = np.array([eval_scalar(curve.curvature_fn, p) for p in stars])

@@ -109,10 +109,8 @@ def test_defect_invariance_three_geometries(
 ):
     cases = [
         ("euclidean", generic_oval, ov.propagate, np.linspace(-0.3, 1.0, 11)),
-        ("spherical", generic_sphere_curve, ov.propagate_sphere,
-         np.linspace(-0.2, 0.4, 11)),
-        ("hyperbolic", generic_hyperbolic_curve, ov.propagate_hyperbolic,
-         np.linspace(-0.25, 0.5, 11)),
+        ("spherical", generic_sphere_curve, ov.propagate, np.linspace(-0.2, 0.4, 11)),
+        ("hyperbolic", generic_hyperbolic_curve, ov.propagate, np.linspace(-0.25, 0.5, 11)),
     ]
     spreads = {}
     for geometry, curve, prop, grid in cases:
@@ -161,7 +159,7 @@ def test_vanishing_fronts_have_four_cusps(oval_population, hyperbolic_population
     crit_len = max(abs(f.signed_length) for f in crit)
     crit_cusps = min(len(f.cusps) for f in crit)
 
-    coll = [ov.propagate_hyperbolic(c, ov.critical_time(c)) for c in hyperbolic_population]
+    coll = [ov.propagate(c, ov.critical_time(c)) for c in hyperbolic_population]
     coll_len = max(abs(f.signed_length) for f in coll)
     coll_cusps = min(len(f.cusps) for f in coll)
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, artifacts, env overrides, goldens."""
 
+import dataclasses
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from ovalfront import _kernels as kernels
-from ovalfront import cli, curves, hyperbolic, specio, sphere, wavefront
+from ovalfront import cli, curves, hyperbolic, specio, wavefront
 from ovalfront.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NUMERICAL_FAILURE,
@@ -485,6 +486,51 @@ def test_verify_fails_a_front_off_the_critical_time(tmp_path, monkeypatch, spec,
     assert abs(check["signed_length"]) > 1e-3
 
 
+def _scale_front_of_front(monkeypatch):
+    # the outer semigroup front is the only front built from a front
+    propagate = wavefront.propagate
+
+    def scaled(curve, t):
+        front = propagate(curve, t)
+        if isinstance(curve, curves.Front):
+            front = dataclasses.replace(front, points=front.points * (1.0 + 1e-6))
+        return front
+
+    monkeypatch.setattr(cli, "propagate", scaled)
+
+
+def _scale_steiner_length(monkeypatch):
+    closed_form = curves.steiner_closed_form
+
+    def scaled(curve, t):
+        length, area = closed_form(curve, t)
+        return length * (1.0 + 1e-3), area
+
+    monkeypatch.setattr(wavefront, "steiner_closed_form", scaled)
+
+
+def _scale_lemma_curvature(monkeypatch):
+    eval_scalar = curves.eval_scalar
+    monkeypatch.setattr(wavefront, "eval_scalar", lambda fn, x: eval_scalar(fn, x) * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize(
+    "spec, tamper, name",
+    [("sphere", _scale_front_of_front, "semigroup"),
+     ("hyperbolic", _scale_front_of_front, "semigroup"),
+     ("oval", _scale_steiner_length, "steiner"),
+     ("oval", _scale_lemma_curvature, "front_mean_curvature_lemma")],
+    ids=["sphere-semigroup", "hyperbolic-semigroup", "plane-steiner", "plane-lemma"],
+)
+def test_verify_fails_a_tampered_front_check_alone(tmp_path, monkeypatch, spec, tamper, name):
+    # each case scales a measured quantity, never the comparison it meets
+    tamper(monkeypatch)
+    code = main(["verify", "--input", str(GOLDEN / f"{spec}_spec.json"), "--out", str(tmp_path)])
+    assert code == EXIT_THEOREM_FAIL
+    report = read_report(tmp_path, "verify_report.json")
+    assert [c["name"] for c in report["checks"] if c["passed"] is False] == [name]
+
+
 def test_verify_reports_honest_failure_at_low_resolution(tmp_path):
     # the hyperbolic defect spread is a fourth-order grid effect: at 512
     # samples it genuinely exceeds 1e-6, and the CLI must say so
@@ -623,7 +669,7 @@ def test_curved_verify_builds_one_front_per_t(tmp_path, monkeypatch, doc):
         times.append(t)
         return propagate_front(curve, t)
 
-    for module in (curves, sphere, hyperbolic):
+    for module in (curves, wavefront):
         monkeypatch.setattr(module, "propagate_front", counting)
     grid = []
     default_grid = cli._default_t_grid
@@ -653,7 +699,7 @@ def test_curved_verify_measures_only_the_fronts_it_reads(tmp_path, monkeypatch, 
         fronts.append(propagate_front(curve, t))
         return fronts[-1]
 
-    for module in (curves, sphere, hyperbolic):
+    for module in (curves, wavefront):
         monkeypatch.setattr(module, "propagate_front", keeping)
     orders = []
     periodic_deriv = kernels.periodic_deriv

@@ -22,18 +22,17 @@ from ovalfront import (
     curvature_profile,
     defect_value,
     gauss_bonnet_residual,
-    geodesic_curvature_h,
-    hyperbolic_area_green,
     hyperbolic_circle,
     hyperbolic_curve_from_points,
     mean_attainment_front_check,
     perturbed_hyperbolic_circle,
+    propagate,
     propagate_front,
-    propagate_hyperbolic,
     semicircle_mean_gap,
     semicircle_reference,
 )
-from ovalfront.hyperbolic import _so21_exp, mdot
+from ovalfront.curves import unit_speed_curvature
+from ovalfront.hyperbolic import HYPERBOLOID, _so21_exp, mdot
 
 TWO_PI = 2.0 * np.pi
 
@@ -89,7 +88,7 @@ def test_gauss_bonnet_residual(wavy):
 
 
 def test_area_green_matches_stored(wavy):
-    area = hyperbolic_area_green(wavy.points, wavy.center, wavy.L / wavy.n_samples)
+    area = HYPERBOLOID.green_area(wavy.points, wavy.center, wavy.L / wavy.n_samples)
     assert area == pytest.approx(wavy.A, abs=1e-12)
 
 
@@ -107,7 +106,7 @@ def test_speed_check_rejects_angle_grid():
         [np.full(n, np.cosh(rho)), np.sinh(rho) * np.cos(u), np.sinh(rho) * np.sin(u)]
     )
     with pytest.raises(BadParametrizationError):
-        geodesic_curvature_h(pts, TWO_PI * np.sinh(rho) / n)
+        unit_speed_curvature(pts, TWO_PI * np.sinh(rho) / n, HYPERBOLOID)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +114,7 @@ def test_speed_check_rejects_angle_grid():
 
 
 def test_front_of_circle_is_shifted_circle():
-    f = propagate_hyperbolic(hyperbolic_circle(0.8), 0.3)
+    f = propagate(hyperbolic_circle(0.8), 0.3)
     np.testing.assert_allclose(f.points[:, 0], np.cosh(1.1), atol=1e-9)
     assert f.signed_length == pytest.approx(TWO_PI * np.sinh(1.1), abs=1e-8)
     assert f.area == pytest.approx(TWO_PI * (np.cosh(1.1) - 1.0), abs=1e-8)
@@ -123,14 +122,14 @@ def test_front_of_circle_is_shifted_circle():
 
 
 def test_inward_front_of_circle():
-    f = propagate_hyperbolic(hyperbolic_circle(0.8), -0.3)
+    f = propagate(hyperbolic_circle(0.8), -0.3)
     np.testing.assert_allclose(f.points[:, 0], np.cosh(0.5), atol=1e-9)
     assert f.signed_length == pytest.approx(TWO_PI * np.sinh(0.5), abs=1e-8)
 
 
 def test_length_area_growth_identities(wavy):
     for t in (-0.25, 0.2, 0.5):
-        f = propagate_hyperbolic(wavy, t)
+        f = propagate(wavy, t)
         want_len = wavy.L * np.cosh(t) + (TWO_PI + wavy.A) * np.sinh(t)
         want_area = (TWO_PI + wavy.A) * np.cosh(t) + wavy.L * np.sinh(t) - TWO_PI
         assert f.signed_length == pytest.approx(want_len, abs=1e-7)
@@ -140,7 +139,7 @@ def test_length_area_growth_identities(wavy):
 def test_front_defect_is_invariant(wavy):
     base = defect_value(HYPERBOLIC, wavy.L, wavy.A)
     for t in (-0.2, 0.35):
-        f = propagate_hyperbolic(wavy, t)
+        f = propagate(wavy, t)
         assert defect_value(HYPERBOLIC, f.signed_length, f.area) == pytest.approx(
             base, rel=1e-6
         )
@@ -148,8 +147,8 @@ def test_front_defect_is_invariant(wavy):
 
 def test_propagation_semigroup():
     c = hyperbolic_circle(0.7)
-    two_step = propagate_hyperbolic(propagate_hyperbolic(c, 0.2), 0.3)
-    direct = propagate_hyperbolic(c, 0.5)
+    two_step = propagate(propagate(c, 0.2), 0.3)
+    direct = propagate(c, 0.5)
     np.testing.assert_allclose(two_step.points, direct.points, atol=1e-8)
     assert two_step.signed_length == pytest.approx(direct.signed_length, abs=1e-8)
 
@@ -168,7 +167,7 @@ def test_circle_collapse_is_degenerate():
     circle = hyperbolic_circle(0.9)
     t = critical_time(circle)
     assert t == pytest.approx(-0.9, abs=1e-10)
-    assert abs(propagate_hyperbolic(circle, t).signed_length) < 1e-8
+    assert abs(propagate(circle, t).signed_length) < 1e-8
     with pytest.raises(DegenerateProfileError):
         curvature_profile(circle)
 
@@ -178,13 +177,13 @@ def test_circle_collapse_on_fine_grids_has_no_cusps(n):
     # at the collapse time cosh t + k sinh t is roundoff whose sampled sign
     # flips; the constant curvature function confirms no cusp between them
     circle = hyperbolic_circle(0.8, n_samples=n)
-    front = propagate_hyperbolic(circle, critical_time(circle))
+    front = propagate(circle, critical_time(circle))
     assert front.cusps.size == 0
     assert abs(front.signed_length) < 1e-8
 
 
 def test_collapse_cusps_at_mean_attainment(wavy):
-    front = propagate_hyperbolic(wavy, critical_time(wavy))
+    front = propagate(wavy, critical_time(wavy))
     assert len(front.cusps) >= 4
     assert abs(front.signed_length) < 1e-7
     # front cusps solve cosh t + k sinh t = 0, i.e. k = -coth t = mean
@@ -205,16 +204,16 @@ def test_forced_collapse_below_threshold_radius():
     curve = build_rounded_semicircle(RoundedSemicircleSpec(r=0.5, n_samples=1024))
     t = critical_time(curve)
     with pytest.raises(NotHorocyclicallyConvexError):
-        propagate_hyperbolic(curve, t)
+        propagate(curve, t)
     assert propagate_front(curve, t).cusps.size == 4
 
 
 def test_backward_propagation_gating(semicircle_r2):
     with pytest.raises(NotHorocyclicallyConvexError):
-        propagate_hyperbolic(semicircle_r2, -0.2)
+        propagate(semicircle_r2, -0.2)
     assert propagate_front(semicircle_r2, -0.2).cusps.size >= 4
     # forward motion of a convex curve is always regular
-    assert propagate_hyperbolic(semicircle_r2, 0.3).cusps.size == 0
+    assert propagate(semicircle_r2, 0.3).cusps.size == 0
 
 
 # ---------------------------------------------------------------------------

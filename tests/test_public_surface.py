@@ -37,12 +37,12 @@ def test_library_paragraph_names_exported_functions_and_real_fields():
     modules = (curves, harmonics, hyperbolic, specio, sphere, support, wavefront)
     functions = {name for name in names
                  if any(callable(getattr(m, name, None)) for m in modules)}
-    assert {"critical_time", "propagate_front", "propagate_hyperbolic"} <= functions
+    assert {"critical_time", "propagate", "propagate_front"} <= functions
     assert functions <= set(ovalfront.__all__)
     # every other name is a field or method of a curve or a front
     oval = ovalfront.unit_circle(64)
     curve = ovalfront.hyperbolic_circle(0.8, n_samples=64)
     samples = (oval, ovalfront.propagate(oval, 0.1), curve,
-               ovalfront.propagate_hyperbolic(curve, 0.1))
+               ovalfront.propagate(curve, 0.1))
     for name in names - functions:
         assert keyword.iskeyword(name) or any(hasattr(s, name) for s in samples), name

@@ -21,8 +21,6 @@ from ovalfront import (
     hyperbolic_circle,
     load_curve_spec,
     propagate,
-    propagate_hyperbolic,
-    propagate_sphere,
     sphere_circle,
     spectrum,
     unit_circle,
@@ -252,8 +250,8 @@ def test_front_csvs_match_one_call_per_front(tmp_path, oval):
     plane[1] = dataclasses.replace(plane[1], factor=np.where(np.arange(128) % 5, 1.0, 0.0))
     sphere = sphere_circle(0.7, n_samples=64)
     hyper = hyperbolic_circle(0.7, n_samples=64)
-    fronts = [*plane, propagate_sphere(sphere, -0.2), propagate_sphere(sphere, 0.3),
-              propagate_hyperbolic(hyper, 0.2), plane[0]]
+    fronts = [*plane, propagate(sphere, -0.2), propagate(sphere, 0.3),
+              propagate(hyper, 0.2), plane[0]]
     assert 0 in fronts[1].regularity and fronts[3].s is fronts[4].s
     specio.write_front_csvs(tmp_path, fronts)
     for i, front in enumerate(fronts):

@@ -15,19 +15,18 @@ from ovalfront import (
     defect_value,
     equatorial_front,
     gauss_bonnet_residual,
-    geodesic_curvature,
     mean_attainment_front_check,
     perturbed_sphere_circle,
-    propagate_sphere,
+    propagate,
     sphere_circle,
     sphere_curve_from_points,
     spherical_area_fan,
-    spherical_area_green,
     spherical_diameter,
     tennis_ball_check,
     tennis_seam,
     total_torsion,
 )
+from ovalfront.curves import unit_speed_curvature
 from ovalfront.sphere import DIAMETER_BLOCK, SPHERE
 
 TWO_PI = 2.0 * np.pi
@@ -137,7 +136,7 @@ def test_fronts_of_caps_past_a_hemisphere_keep_their_area(rho):
     circle = sphere_circle(rho, n_samples=512)
     assert circle.pole is None or circle.pole[2] < 0.0
     for t in (0.0, 0.1, -0.3):
-        area = propagate_sphere(circle, t).area
+        area = propagate(circle, t).area
         assert area == pytest.approx(TWO_PI * (1.0 - np.cos(rho + t)), abs=1e-9)
 
 
@@ -150,13 +149,13 @@ def test_geodesic_curvature_rejects_nonunit_speed():
         [np.sin(rho) * np.cos(u), np.sin(rho) * np.sin(u), np.full(n, np.cos(rho))]
     )
     with pytest.raises(BadParametrizationError):
-        geodesic_curvature(pts, TWO_PI * np.sin(rho) / n)
+        unit_speed_curvature(pts, TWO_PI * np.sin(rho) / n, SPHERE)
 
 
 def test_area_oracles_agree():
     c = perturbed_sphere_circle(0.7, [(3, 0.05, 0.4), (2, 0.02, 1.1)], n_samples=1024)
     pole = np.array([0.0, 0.0, 1.0])
-    green = spherical_area_green(c.points, pole, c.L / c.n_samples)
+    green = SPHERE.green_area(c.points, pole, c.L / c.n_samples)
     fan = spherical_area_fan(c.points, pole)
     assert green == pytest.approx(fan, abs=1e-5)
     assert green == pytest.approx(c.A, abs=1e-12)
@@ -172,7 +171,7 @@ def test_gauss_bonnet_residual_small():
 
 
 def test_front_of_circle_is_shifted_circle():
-    f = propagate_sphere(sphere_circle(0.8), 0.3)
+    f = propagate(sphere_circle(0.8), 0.3)
     np.testing.assert_allclose(f.points[:, 2], np.cos(1.1), atol=1e-9)
     assert f.signed_length == pytest.approx(TWO_PI * np.sin(1.1), abs=1e-9)
     assert f.area == pytest.approx(TWO_PI * (1.0 - np.cos(1.1)), abs=1e-9)
@@ -181,7 +180,7 @@ def test_front_of_circle_is_shifted_circle():
 
 
 def test_inward_front_of_circle():
-    f = propagate_sphere(sphere_circle(0.8), -0.3)
+    f = propagate(sphere_circle(0.8), -0.3)
     np.testing.assert_allclose(f.points[:, 2], np.cos(0.5), atol=1e-9)
     assert f.signed_length == pytest.approx(TWO_PI * np.sin(0.5), abs=1e-9)
 
@@ -189,7 +188,7 @@ def test_inward_front_of_circle():
 def test_length_area_growth_identities():
     c = perturbed_sphere_circle(0.7, [(3, 0.04, 0.4), (2, 0.03, 1.1)], n_samples=1024)
     for t in (-0.3, 0.15, 0.45):
-        f = propagate_sphere(c, t)
+        f = propagate(c, t)
         want_len = c.L * np.cos(t) + (TWO_PI - c.A) * np.sin(t)
         want_area = TWO_PI - (TWO_PI - c.A) * np.cos(t) + c.L * np.sin(t)
         # grid truncation in the resampled base data caps this near 1e-9
@@ -201,16 +200,16 @@ def test_dlength_dt_matches_area_complement():
     c = perturbed_sphere_circle(0.7, [(2, 0.05, 0.2)], n_samples=1024)
     t, h = 0.25, 1e-4
     dL = (
-        propagate_sphere(c, t + h).signed_length
-        - propagate_sphere(c, t - h).signed_length
+        propagate(c, t + h).signed_length
+        - propagate(c, t - h).signed_length
     ) / (2.0 * h)
-    assert dL == pytest.approx(TWO_PI - propagate_sphere(c, t).area, abs=1e-5)
+    assert dL == pytest.approx(TWO_PI - propagate(c, t).area, abs=1e-5)
 
 
 def test_propagation_semigroup():
     c = sphere_circle(0.7)
-    two_step = propagate_sphere(propagate_sphere(c, 0.2), 0.3)
-    direct = propagate_sphere(c, 0.5)
+    two_step = propagate(propagate(c, 0.2), 0.3)
+    direct = propagate(c, 0.5)
     np.testing.assert_allclose(two_step.points, direct.points, atol=1e-9)
     assert two_step.signed_length == pytest.approx(direct.signed_length, abs=1e-9)
 
@@ -219,7 +218,7 @@ def test_front_defect_is_invariant():
     c = perturbed_sphere_circle(0.7, [(3, 0.04, 0.4)], n_samples=1024)
     base = defect_value(SPHERICAL, c.L, c.A)
     for t in (-0.2, 0.3):
-        f = propagate_sphere(c, t)
+        f = propagate(c, t)
         moved = defect_value(SPHERICAL, f.signed_length, f.area)
         assert moved == pytest.approx(base, rel=1e-7)
 

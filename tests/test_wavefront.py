@@ -1,4 +1,4 @@
-"""Plane wavefronts: Steiner growth, cusps, critical front."""
+"""Wavefronts: the one guarded propagate; plane Steiner growth, cusps, critical front."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,15 @@ from ovalfront import (
     critical_time,
     curvature_profile,
     ellipse_oval,
-    hyperbolic_circle,
+    perturbed_hyperbolic_circle,
+    perturbed_sphere_circle,
     propagate,
+    propagate_front,
     propagation_lemma_check,
-    sphere_circle,
     steiner_check,
     unit_circle,
 )
+from ovalfront.curves import space_form
 
 TWO_PI = 2.0 * np.pi
 
@@ -74,12 +76,44 @@ def test_front_develops_cusps_past_min_radius(wavy_oval):
     assert len(f_safe.cusps) == 0
 
 
+CURVES = {
+    "plane": lambda: ellipse_oval(2.0, 1.0, n_samples=256),
+    "sphere": lambda: perturbed_sphere_circle(0.7, [(3, 0.04, 0.4)], n_samples=256),
+    "hyperboloid": lambda: perturbed_hyperbolic_circle(0.8, [(3, 0.03, 0.4)], n_samples=256),
+}
+
+
+@pytest.mark.parametrize("name", CURVES)
+def test_propagate_is_the_unguarded_front_where_it_accepts(name):
+    # a curve of each K, and in the curved geometries a front of a front:
+    # the guard changes no float
+    curve = CURVES[name]()
+    bases = [curve] if name == "plane" else [curve, propagate_front(curve, 0.1)]
+    for base in bases:
+        for t in (-0.2, 0.3):
+            guarded, plain = propagate(base, t), propagate_front(base, t)
+            assert np.array_equal(guarded.points, plain.points)
+            assert np.array_equal(guarded.factor, plain.factor)
+            assert guarded.signed_length == plain.signed_length
+
+
+@pytest.mark.parametrize("name", CURVES)
+def test_propagate_never_refuses_without_a_cusp_onset(name):
+    # K >= 0, and a horocyclically convex curve when K = -1
+    curve = CURVES[name]()
+    assert space_form(curve.geometry).cusp_onset(curve.k) == -np.inf
+    assert propagate(curve, -40.0).signed_length == propagate_front(curve, -40.0).signed_length
+
+
 def test_plane_checks_refuse_curved_curves():
-    # plane propagation moves points along plane normals
-    with pytest.raises(ValueError):
-        propagate(sphere_circle(0.8), 0.1)
-    with pytest.raises(ValueError):
-        propagate(hyperbolic_circle(0.8), 0.1)
+    # the Steiner polynomials and k/(1 + t k) are the plane's closed forms;
+    # the curved lemma is mean_attainment_front_check
+    for curve in (perturbed_sphere_circle(0.9, [(3, 0.05, 0.0)], n_samples=512),
+                  perturbed_hyperbolic_circle(0.8, [(3, 0.03, 0.4)], n_samples=512)):
+        with pytest.raises(ValueError, match="Euclidean"):
+            steiner_check(curve, [0.0, 0.1, 0.2])
+        with pytest.raises(ValueError, match="Euclidean"):
+            propagation_lemma_check(curve, [0.0, 0.1, 0.2])
 
 
 def test_critical_front_length_vanishes(wavy_oval):
