@@ -41,6 +41,8 @@ CROSSING_TOL_FACTOR = 1e-7
 ROOT_XTOL = 1e-10
 # Largest allowed deviation of unit-speed samples from speed 1.
 SPEED_TOL = 1e-6
+# Largest allowed distance of input loop points from the sphere or hyperboloid.
+SURFACE_TOL = 1e-6
 # |measured speed| below this counts as a cusp sample in fronts.
 CUSP_SPEED_GUARD = 1e-9
 # The front lemma skips a time where the front factor comes this close to 0.
@@ -79,6 +81,10 @@ class SampledCurve:
         it; used for root refinement.
     radius_fn : callable, optional
         Curvature radius ``R(param)`` (Euclidean support builds only).
+    anchor : ndarray, optional
+        The point the area was measured about (a pole on the sphere, a
+        centre on the hyperboloid); fronts measure theirs about it too.
+        ``None`` in the plane.
 
     :attr:`profile` and :attr:`curvature_fn` are computed on first read and
     kept, so the arrays must not be mutated once the curve is built.
@@ -96,6 +102,7 @@ class SampledCurve:
     w: Optional[np.ndarray] = None
     curv_fn: Optional[Callable] = None
     radius_fn: Optional[Callable] = None
+    anchor: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.geometry not in GEOMETRIES:
@@ -164,15 +171,18 @@ class SpaceForm:
     product over the last axis (Minkowski on the hyperboloid); ``cross(v,
     x)`` turns a tangent v at x into the outward conormal direction, v x n
     with n the surface normal at x (x itself on the sphere and hyperboloid,
-    e_z for the plane at z = 1).  ``front_anchor(points, curve)`` is the
-    area anchor (pole or centre) a front of ``curve`` takes from it and keeps
-    for its own fronts.  ``critical_time(L, b)`` is the t < 0 where
-    L c_K(t) + b s_K(t) vanishes, b = 2 pi - K A.  ``cusp_onset(k)`` is the
-    earliest t that :func:`~ovalfront.wavefront.propagate` accepts for a
-    curve of curvature k: -inf, except on the hyperboloid for a curve that is
-    not horocyclically convex.  ``polar(r, phi)`` is the point at distance r
-    and angle phi from the model's centre (the north pole, the hyperboloid
-    vertex); the plane builds no polar curves.
+    e_z for the plane at z = 1).  ``finish(points, s, length)`` turns
+    unit-speed samples into the geometry's curve.  ``critical_time(L, b)``
+    is the t < 0 where L c_K(t) + b s_K(t) vanishes, b = 2 pi - K A.
+    ``cusp_onset(k)`` is the earliest t that
+    :func:`~ovalfront.wavefront.propagate` accepts for a curve of curvature
+    k: -inf, except on the hyperboloid for a curve that is not
+    horocyclically convex.  ``polar(r, phi)`` is the point at distance r and
+    angle phi from the model's centre (the north pole, the hyperboloid
+    vertex); the plane builds no polar curves.  ``project`` maps ambient
+    points onto the surface, and ``off_surface(points)`` is ``(deviation,
+    rule)``: how far they lie off it, and what they must satisfy; the plane
+    has neither.
     """
 
     geometry: str
@@ -181,10 +191,12 @@ class SpaceForm:
     s: Callable[[float], float]
     dot: Callable
     cross: Callable
-    front_anchor: Callable
     critical_time: Callable[[float, float], float]
+    finish: Callable
     cusp_onset: Callable[[np.ndarray], float] = lambda k: -np.inf
     polar: Optional[Callable] = None
+    project: Optional[Callable] = None
+    off_surface: Optional[Callable] = None
 
     def norm(self, v: np.ndarray) -> np.ndarray:
         """Ambient length over the last axis; 0 for non-spacelike vectors."""
@@ -258,6 +270,28 @@ def euclidean_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finish_plane_curve(points, s, length) -> SampledCurve:
+    """The plane curve of unit-speed samples, which must run counterclockwise."""
+    n = len(points)
+    spacing = length / n
+    k, normal, _ = unit_speed_curvature(points, spacing, PLANE)
+    area = parametric_area(points, length)
+    if area <= 0.0:
+        raise BadParametrizationError("expected a counterclockwise loop")
+    return SampledCurve(
+        geometry=EUCLIDEAN,
+        points=points,
+        s=s,
+        k=k,
+        L=float(length),
+        A=float(area),
+        param=s,
+        tangent=np.column_stack([-normal[:, 1], normal[:, 0]]),
+        normal=normal,
+        w=np.full(n, spacing),
+    )
+
+
 PLANE = SpaceForm(
     geometry=EUCLIDEAN,
     K=0,
@@ -265,8 +299,8 @@ PLANE = SpaceForm(
     s=lambda t: t,
     dot=euclidean_dot,
     cross=lambda v, x: np.column_stack([v[:, 1], -v[:, 0]]),
-    front_anchor=lambda points, curve: None,
     critical_time=lambda length, b: -(length / b),
+    finish=_finish_plane_curve,
 )
 
 # geometry tag -> SpaceForm; sphere.py and hyperbolic.py add K = +1 and -1
@@ -607,7 +641,7 @@ class Front:
     param: np.ndarray
     s: np.ndarray
     period: float
-    anchor: Optional[np.ndarray] = None  # area pole (sphere) or centre (hyperboloid)
+    anchor: Optional[np.ndarray] = None  # the base's SampledCurve.anchor
 
     @property
     def L(self) -> float:
@@ -621,10 +655,6 @@ class Front:
     def w(self) -> np.ndarray:
         """Quadrature weights: the factor times the base weights."""
         return self.factor * np.asarray(self.base.w, dtype=float)
-
-    @property
-    def center(self) -> Optional[np.ndarray]:
-        return self.anchor
 
     @property
     def _spacing(self) -> float:
@@ -721,7 +751,7 @@ def propagate_front(curve, t: float) -> Front:
         param=_param(curve),
         s=np.asarray(curve.s, dtype=float),
         period=float(curve.period),
-        anchor=form.front_anchor(points, curve),
+        anchor=curve.anchor,
     )
 
 
@@ -1084,15 +1114,26 @@ def closed_spline_through(points: np.ndarray, form: SpaceForm = PLANE):
     return point_fn, speed_fn
 
 
-def resample_surface_loop(points: np.ndarray, n_samples: int, form: SpaceForm, project):
-    """``(points, s, L)`` of a point loop on the sphere or hyperboloid at uniform arc length.
+def curve_from_points(geometry: str, points, n_samples: int = 1024) -> SampledCurve:
+    """The curve through a raw closed loop of points, at uniform arc length.
 
-    ``project`` maps ambient points onto the surface.  Projecting the spline
-    samples perturbs their speed slightly, so the resampling runs twice.
+    Plane loops are (x, y) rows and must run counterclockwise; sphere and
+    hyperboloid loops are ambient triples within ``SURFACE_TOL`` of the
+    surface.  The loop is splined by chordal parameter, resampled, and
+    finished by its geometry.  On a surface the points are projected onto
+    it, before and after resampling; projecting perturbs the speed
+    slightly, so the resampling runs twice.
     """
-    resampled = project(points)
-    for _ in range(2):
-        point_fn, speed_fn = closed_spline_through(resampled, form)
-        pts, s, length, _ = arclength_resample(point_fn, int(n_samples), speed_fn)
-        resampled = project(pts)
-    return resampled, s, length
+    form = space_form(geometry)
+    project = form.project
+    loop = np.asarray(points, dtype=float)
+    if project is not None:
+        deviation, rule = form.off_surface(loop)
+        if deviation > SURFACE_TOL:
+            raise BadParametrizationError(f"input points must {rule}")
+        loop = project(loop)
+    for _ in range(1 if project is None else 2):
+        point_fn, speed_fn = closed_spline_through(loop, form)
+        loop, s, length, _ = arclength_resample(point_fn, int(n_samples), speed_fn)
+        loop = loop if project is None else project(loop)
+    return form.finish(loop, s, length)

@@ -27,7 +27,7 @@ quadrature of the polar Green integrand, independent of Gauss-Bonnet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .curves import (
     harmonic_radius,
     polar_circle,
     polar_curve,
-    resample_surface_loop,
     unit_speed_curvature,
 )
 from .errors import (
@@ -94,7 +93,6 @@ def normalize_timelike(v: np.ndarray) -> np.ndarray:
 class HyperbolicCurve(SampledCurve):
     """Closed hyperboloid-model curve; its convexity class is read off ``k``."""
 
-    center: Optional[np.ndarray] = None
     gb_residual: float = float("nan")
     build_residual: float = float("nan")
 
@@ -123,14 +121,6 @@ def classify_curvature(k: np.ndarray) -> np.ndarray:
 # the space form
 
 
-def _front_anchor(points: np.ndarray, curve) -> np.ndarray:
-    """The base's centre, else the mean of the front samples."""
-    center = getattr(curve, "center", None)
-    if center is None:
-        center = normalize_timelike(points.mean(axis=0))
-    return np.asarray(center, dtype=float)
-
-
 def _collapse_time(length: float, b: float) -> float:
     """t = -arccoth(kbar), kbar = b/L = (2 pi + A)/L: the front collapses there."""
     kbar = b / length
@@ -152,34 +142,18 @@ def _cusp_onset(k: np.ndarray) -> float:
     return -float(np.arctanh(1.0 / top))
 
 
-HYPERBOLOID = SPACE_FORMS[HYPERBOLIC] = SpaceForm(
-    geometry=HYPERBOLIC,
-    K=-1,
-    c=np.cosh,
-    s=np.sinh,
-    dot=mdot,
-    cross=mcross,
-    front_anchor=_front_anchor,
-    critical_time=_collapse_time,
-    cusp_onset=_cusp_onset,
-    polar=lambda r, phi: np.column_stack(
-        [np.cosh(r), np.sinh(r) * np.cos(phi), np.sinh(r) * np.sin(phi)]
-    ),
-)
-
-
 # ---------------------------------------------------------------------------
 # construction
 
 
-def _finish_hyperbolic_curve(points, s, length, center=None, curv_fn=None) -> HyperbolicCurve:
+def _finish_hyperbolic_curve(points, s, length, anchor=None, curv_fn=None) -> HyperbolicCurve:
     points = normalize_timelike(np.asarray(points, dtype=float))
     n = len(points)
     spacing = length / n
     k, nu, _ = unit_speed_curvature(points, spacing, HYPERBOLOID)
-    if center is None:
-        center = normalize_timelike(points.mean(axis=0))
-    area = HYPERBOLOID.green_area(points, center, spacing)
+    if anchor is None:
+        anchor = normalize_timelike(points.mean(axis=0))
+    area = HYPERBOLOID.green_area(points, anchor, spacing)
     w = np.full(n, spacing)
     gb = abs(float(np.sum(k) * spacing) - (TWO_PI + area))
     s_arr = np.asarray(s, dtype=float)
@@ -195,9 +169,28 @@ def _finish_hyperbolic_curve(points, s, length, center=None, curv_fn=None) -> Hy
         normal=nu,
         w=w,
         curv_fn=curv_fn,
-        center=np.asarray(center, dtype=float),
+        anchor=np.asarray(anchor, dtype=float),
         gb_residual=gb,
     )
+
+
+HYPERBOLOID = SPACE_FORMS[HYPERBOLIC] = SpaceForm(
+    geometry=HYPERBOLIC,
+    K=-1,
+    c=np.cosh,
+    s=np.sinh,
+    dot=mdot,
+    cross=mcross,
+    critical_time=_collapse_time,
+    finish=_finish_hyperbolic_curve,
+    cusp_onset=_cusp_onset,
+    polar=lambda r, phi: np.column_stack(
+        [np.cosh(r), np.sinh(r) * np.cos(phi), np.sinh(r) * np.sin(phi)]
+    ),
+    project=normalize_timelike,
+    off_surface=lambda points: (float(np.max(np.abs(mdot(points, points) + 1.0))),
+                                "satisfy <x,x> = -1"),
+)
 
 
 def hyperbolic_circle(rho: float, n_samples: int = 1024) -> HyperbolicCurve:
@@ -210,7 +203,7 @@ def hyperbolic_circle(rho: float, n_samples: int = 1024) -> HyperbolicCurve:
         points,
         s,
         length,
-        center=np.array([1.0, 0.0, 0.0]),
+        anchor=np.array([1.0, 0.0, 0.0]),
         curv_fn=lambda x: np.full_like(np.atleast_1d(np.asarray(x, float)), k_const),
     )
 
@@ -224,15 +217,6 @@ def perturbed_hyperbolic_circle(
     r_fn, dr_fn = harmonic_radius(rho, harmonics)
     points, s, length, _ = polar_curve(HYPERBOLOID, r_fn, dr_fn, int(n_samples))
     return _finish_hyperbolic_curve(points, s, length)
-
-
-def hyperbolic_curve_from_points(points, n_samples: int = 1024) -> HyperbolicCurve:
-    """Resample-and-validate path for raw hyperboloid sample loops."""
-    raw = np.asarray(points, dtype=float)
-    if float(np.max(np.abs(mdot(raw, raw) + 1.0))) > 1e-6:
-        raise BadParametrizationError("input points must satisfy <x,x> = -1")
-    loop = resample_surface_loop(raw, n_samples, HYPERBOLOID, normalize_timelike)
-    return _finish_hyperbolic_curve(*loop)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +521,7 @@ def build_rounded_semicircle(spec: RoundedSemicircleSpec) -> HyperbolicCurve:
         normal=nu,
         w=np.full(n, length / n),
         curv_fn=curv_fn,
-        center=center,
+        anchor=center,
         gb_residual=abs(total_turn - (TWO_PI + area)),
         build_residual=closure,
     )

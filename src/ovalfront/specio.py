@@ -27,17 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import EUCLIDEAN, HYPERBOLIC, SPHERICAL
+from .curves import EUCLIDEAN, HYPERBOLIC, SPHERICAL, curve_from_points
 from .errors import BadParametrizationError, FrenetBreakdownError, SpecFormatError
 from .hyperbolic import (
     RoundedSemicircleSpec,
     build_rounded_semicircle,
     hyperbolic_circle,
-    hyperbolic_curve_from_points,
     perturbed_hyperbolic_circle,
 )
-from .sphere import perturbed_sphere_circle, sphere_curve_from_points, total_torsion
-from .support import SupportOval, build_oval, check_oval_sampling, euclidean_curve_from_points
+from .sphere import perturbed_sphere_circle, torsion
+from .support import SupportOval, build_oval, check_oval_sampling
 
 SCHEMA_VERSION = 1
 
@@ -156,10 +155,8 @@ def build_curve(doc: dict, n_samples: int | None = None):
         for deg, c, s in doc["coeffs"]:
             dense[int(deg)] = (float(c), float(s))
         return build_oval(SupportOval(coeffs=tuple(dense), n_samples=n))
-    if rep == "samples":
-        return euclidean_curve_from_points(doc["points"], n_samples=n)
-    if rep == "sphere_samples":
-        return sphere_curve_from_points(doc["points"], n_samples=n)
+    if rep.endswith("samples"):  # samples, sphere_samples, hyperboloid_samples
+        return curve_from_points(doc["geometry"], doc["points"], n_samples=n)
     if rep == "perturbed_circle":
         harmonics = doc.get("harmonics") or []
         return perturbed_sphere_circle(float(doc["rho"]), harmonics, n_samples=n)
@@ -168,8 +165,6 @@ def build_curve(doc: dict, n_samples: int | None = None):
         if harmonics:
             return perturbed_hyperbolic_circle(float(doc["rho"]), harmonics, n_samples=n)
         return hyperbolic_circle(float(doc["rho"]), n_samples=n)
-    if rep == "hyperboloid_samples":
-        return hyperbolic_curve_from_points(doc["points"], n_samples=n)
     spec = RoundedSemicircleSpec(
         r=float(doc["r"]),
         corner_scale=float(doc.get("corner_scale", 0.02)),
@@ -535,7 +530,7 @@ def write_curve_csv(path, curve) -> None:
         _write_table(path, "s,x,y,k", curve.s, curve.points, curve.k)
     elif curve.geometry == SPHERICAL:
         try:
-            tau = total_torsion(curve).tau
+            tau = torsion(curve)
         except (FrenetBreakdownError, BadParametrizationError):
             tau = np.zeros(len(curve.points))
         _write_table(path, "s,x,y,z,k_g,tau", curve.s, curve.points, curve.k, tau)

@@ -36,7 +36,6 @@ from .curves import (
     harmonic_radius,
     polar_circle,
     polar_curve,
-    resample_surface_loop,
     unit_speed_curvature,
 )
 from .errors import (
@@ -65,12 +64,9 @@ class SphereCurve(SampledCurve):
     """Spherical curve with hemisphere witness and spherical diameter.
 
     ``pole`` is the hemisphere witness, or ``None`` when the curve has none.
-    ``anchor`` is the point its area was measured about; its fronts measure
-    their areas about the same point.
     """
 
     pole: Optional[np.ndarray] = None
-    anchor: Optional[np.ndarray] = None
 
     @cached_property
     def diameter(self) -> float:
@@ -127,27 +123,8 @@ def spherical_area_fan(points: np.ndarray, apex: np.ndarray) -> float:
     return float(np.sum(2.0 * np.arctan2(num, den)))
 
 
-SPHERE = SPACE_FORMS[SPHERICAL] = SpaceForm(
-    geometry=SPHERICAL,
-    K=1,
-    c=np.cos,
-    s=np.sin,
-    dot=euclidean_dot,
-    cross=cross3,
-    front_anchor=lambda points, curve: curve.anchor,
-    critical_time=lambda length, b: -float(np.arctan(length / b)),
-    polar=lambda th, phi: np.column_stack(
-        [np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)]
-    ),
-)
-
-
 # ---------------------------------------------------------------------------
 # construction
-
-
-def _unit(points: np.ndarray) -> np.ndarray:
-    return points / SPHERE.norm(points)[:, None]
 
 
 def _finish_sphere_curve(points, s, length, area_pole=None, curv_fn=None) -> SphereCurve:
@@ -202,6 +179,24 @@ def _finish_sphere_curve(points, s, length, area_pole=None, curv_fn=None) -> Sph
     )
 
 
+SPHERE = SPACE_FORMS[SPHERICAL] = SpaceForm(
+    geometry=SPHERICAL,
+    K=1,
+    c=np.cos,
+    s=np.sin,
+    dot=euclidean_dot,
+    cross=cross3,
+    critical_time=lambda length, b: -float(np.arctan(length / b)),
+    finish=_finish_sphere_curve,
+    polar=lambda th, phi: np.column_stack(
+        [np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)]
+    ),
+    project=lambda points: points / SPHERE.norm(points)[:, None],
+    off_surface=lambda points: (float(np.max(np.abs(SPHERE.norm(points) - 1.0))),
+                                "lie on the unit sphere"),
+)
+
+
 def sphere_circle(rho: float, n_samples: int = 1024) -> SphereCurve:
     """Circle of geodesic radius rho about the north pole."""
     if not 0.0 < rho < np.pi:
@@ -250,14 +245,6 @@ def tennis_seam(beta: float = 0.25, n_samples: int = 2048) -> SphereCurve:
 
     points, s, length, _ = polar_curve(SPHERE, theta_fn, dtheta_fn, int(n_samples))
     return _finish_sphere_curve(points, s, length, area_pole=np.array([0.0, 0.0, 1.0]))
-
-
-def sphere_curve_from_points(points, n_samples: int = 1024) -> SphereCurve:
-    """Resample-and-validate path for raw point loops on the sphere."""
-    raw = np.asarray(points, dtype=float)
-    if float(np.max(np.abs(SPHERE.norm(raw) - 1.0))) > 1e-6:
-        raise BadParametrizationError("input points must lie on the unit sphere")
-    return _finish_sphere_curve(*resample_surface_loop(raw, n_samples, SPHERE, _unit))
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +372,13 @@ class TorsionReport:
     integral: float
     degenerate: bool
     sign_changes: Optional[int]
-    tau: np.ndarray
 
 
-def total_torsion(curve: SphereCurve) -> TorsionReport:
-    """Total torsion (Frenet quadrature) and its sign changes.
+def torsion(curve: SphereCurve) -> np.ndarray:
+    """Frenet torsion per sample of unit-speed samples, right-handed convention.
 
-    Spherical curves have vanishing total torsion; simple ones change
-    torsion sign at least four times.  Circles, the planar curves, have
-    torsion identically zero and are reported as degenerate; planarity is
-    read off the samples, since the stencil torsion's roundoff grows like
-    eps/h^3.  Right-handed Frenet convention.
+    Raises :class:`BadParametrizationError` off unit speed and
+    :class:`FrenetBreakdownError` where the space curvature vanishes.
     """
     spacing = curve.L / curve.n_samples
     d1 = kernels.periodic_deriv(curve.points, 1, spacing)
@@ -408,12 +391,22 @@ def total_torsion(curve: SphereCurve) -> TorsionReport:
     kappa_sq = np.einsum("ij,ij->i", binormal, binormal)
     if float(np.min(kappa_sq)) < FRENET_TOL**2:
         raise FrenetBreakdownError("space curvature vanishes on the grid")
-    tau = np.einsum("ij,ij->i", binormal, d3) / kappa_sq
-    integral = float(np.sum(tau) * spacing)
+    return np.einsum("ij,ij->i", binormal, d3) / kappa_sq
+
+
+def total_torsion(curve: SphereCurve) -> TorsionReport:
+    """Total torsion (Frenet quadrature of :func:`torsion`) and its sign changes.
+
+    Spherical curves have vanishing total torsion; simple ones change
+    torsion sign at least four times.  Circles, the planar curves, have
+    torsion identically zero and are reported as degenerate; planarity is
+    read off the samples, since the stencil torsion's roundoff grows like
+    eps/h^3.
+    """
+    tau = torsion(curve)
+    integral = float(np.sum(tau) * (curve.L / curve.n_samples))
     sigma = np.linalg.svd(curve.points - curve.points.mean(axis=0), compute_uv=False)
     if sigma[2] <= PLANARITY_TOL * sigma[0]:
-        return TorsionReport(integral=integral, degenerate=True, sign_changes=None, tau=tau)
+        return TorsionReport(integral=integral, degenerate=True, sign_changes=None)
     pairs, _ = kernels.transitions(tau, 1e-7 * float(np.max(np.abs(tau))))
-    return TorsionReport(
-        integral=integral, degenerate=False, sign_changes=len(pairs), tau=tau
-    )
+    return TorsionReport(integral=integral, degenerate=False, sign_changes=len(pairs))

@@ -17,19 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels as kernels
-from .curves import (
-    EUCLIDEAN,
-    PLANE,
-    TWO_PI,
-    SampledCurve,
-    arclength_resample,
-    closed_spline_through,
-    fourier_antiderivative,
-    parametric_area,
-    periodic_interpolant,
-    unit_speed_curvature,
-)
-from .errors import BadParametrizationError, DegenerateSamplingError, NonConvexError
+from .curves import EUCLIDEAN, TWO_PI, SampledCurve, fourier_antiderivative, periodic_interpolant
+from .errors import DegenerateSamplingError, NonConvexError
 
 MIN_SAMPLES = 16
 
@@ -186,36 +175,6 @@ def ellipse_oval(a: float, b: float, n_samples: int = 1024):
 
 def unit_circle(n_samples: int = 1024) -> SampledCurve:
     return build_oval(SupportOval(((1.0, 0.0),), n_samples=n_samples))
-
-
-def euclidean_curve_from_points(points, n_samples: int = 1024) -> SampledCurve:
-    """Resample-and-validate path for raw planar loops.
-
-    Expects a counterclockwise closed loop; curvature and frames come from
-    order-4 periodic differences after arc-length resampling.
-    """
-    raw = np.asarray(points, dtype=float)
-    point_fn, speed_fn = closed_spline_through(raw)
-    pts, s, length, _ = arclength_resample(point_fn, int(n_samples), speed_fn)
-    n = len(pts)
-    spacing = length / n
-    k, normal, _ = unit_speed_curvature(pts, spacing, PLANE)
-    area = parametric_area(pts, length)
-    if area <= 0.0:
-        raise BadParametrizationError("expected a counterclockwise loop")
-    tangent = np.column_stack([-normal[:, 1], normal[:, 0]])
-    return SampledCurve(
-        geometry=EUCLIDEAN,
-        points=pts,
-        s=s,
-        k=k,
-        L=float(length),
-        A=float(area),
-        param=s,
-        tangent=tangent,
-        normal=normal,
-        w=np.full(n, spacing),
-    )
 
 
 def closure_residual(curve: SampledCurve) -> np.ndarray:

@@ -54,10 +54,6 @@ def propagate(curve, t: float) -> Front:
 @dataclass(frozen=True, eq=False)
 class SteinerReport:
     t_values: np.ndarray
-    length_measured: np.ndarray
-    length_predicted: np.ndarray
-    area_measured: np.ndarray
-    area_predicted: np.ndarray
     max_rel_length: float
     max_rel_area: float
     max_dlength_err: float
@@ -92,19 +88,14 @@ def steiner_check(curve: SampledCurve, t_values: Sequence[float], tol: float = 1
         da_err = float(np.max(np.abs(da - lm)))
     else:
         dl_err = da_err = 0.0
-    report = SteinerReport(
+    return SteinerReport(
         t_values=ts,
-        length_measured=lm,
-        length_predicted=lp,
-        area_measured=am,
-        area_predicted=ap,
         max_rel_length=float(rel_l.max()),
         max_rel_area=float(rel_a.max()),
         max_dlength_err=dl_err,
         max_darea_err=da_err,
         passed=bool(rel_l.max() < tol and rel_a.max() < tol),
     )
-    return report
 
 
 def propagation_lemma_check(curve: SampledCurve, t_values: Sequence[float]) -> LemmaReport:

@@ -257,12 +257,12 @@ def test_residuals_converge_under_grid_refinement():
         ],
         "gauss-bonnet sphere": [
             ov.gauss_bonnet_residual(
-                ov.sphere_curve_from_points(sphere_points(n), n_samples=n))
+                ov.curve_from_points(ov.SPHERICAL, sphere_points(n), n_samples=n))
             for n in grids
         ],
         "gauss-bonnet hyperbolic": [
             ov.gauss_bonnet_residual(
-                ov.hyperbolic_curve_from_points(hyperboloid_points(n), n_samples=n))
+                ov.curve_from_points(ov.HYPERBOLIC, hyperboloid_points(n), n_samples=n))
             for n in grids
         ],
     }

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ovalfront import _kernels as kernels
-from ovalfront import cli, curves, hyperbolic, specio, wavefront
+from ovalfront import cli, curves, hyperbolic, specio, support, wavefront
 from ovalfront.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NUMERICAL_FAILURE,
@@ -514,13 +514,54 @@ def _scale_lemma_curvature(monkeypatch):
     monkeypatch.setattr(wavefront, "eval_scalar", lambda fn, x: eval_scalar(fn, x) * (1.0 + 1e-6))
 
 
+def _offset_closure_residual(monkeypatch):
+    closure = support.closure_residual
+    monkeypatch.setattr(cli, "closure_residual", lambda curve: closure(curve) + 1e-4)
+
+
+def _drop_attainment_points(monkeypatch):
+    # the four-point check alone counts the curve's attainment set
+    profile = curves.curvature_profile
+
+    def two_kept(curve):
+        full = profile(curve)
+        return dataclasses.replace(full, crossing_params=full.crossing_params[:2])
+
+    monkeypatch.setattr(cli, "curvature_profile", two_kept)
+
+
+def _turning_residual(curve):
+    # Gauss-Bonnet's measured side, the total turning integral(k ds), 1e-5 too large
+    return curves.gauss_bonnet_residual(dataclasses.replace(curve, k=curve.k * (1.0 + 1e-5)))
+
+
+def _scale_sphere_turning(monkeypatch):
+    monkeypatch.setattr(cli, "gauss_bonnet_residual", _turning_residual)
+
+
+def _scale_hyperbolic_turning(monkeypatch):
+    # the hyperbolic check reads the residual that the curve's finisher records
+    finish = hyperbolic._finish_hyperbolic_curve
+
+    def scaled(*args, **kwargs):
+        curve = finish(*args, **kwargs)
+        return dataclasses.replace(curve, gb_residual=_turning_residual(curve))
+
+    monkeypatch.setattr(hyperbolic, "_finish_hyperbolic_curve", scaled)
+
+
 @pytest.mark.parametrize(
     "spec, tamper, name",
     [("sphere", _scale_front_of_front, "semigroup"),
      ("hyperbolic", _scale_front_of_front, "semigroup"),
      ("oval", _scale_steiner_length, "steiner"),
-     ("oval", _scale_lemma_curvature, "front_mean_curvature_lemma")],
-    ids=["sphere-semigroup", "hyperbolic-semigroup", "plane-steiner", "plane-lemma"],
+     ("oval", _scale_lemma_curvature, "front_mean_curvature_lemma"),
+     ("oval", _offset_closure_residual, "closure_residual"),
+     ("oval", _drop_attainment_points, "four_point"),
+     ("sphere", _scale_sphere_turning, "gauss_bonnet"),
+     ("hyperbolic", _scale_hyperbolic_turning, "gauss_bonnet")],
+    ids=["sphere-semigroup", "hyperbolic-semigroup", "plane-steiner", "plane-lemma",
+         "plane-closure", "plane-four-point", "sphere-gauss-bonnet", "hyperbolic-gauss-bonnet"],
 )
 def test_verify_fails_a_tampered_front_check_alone(tmp_path, monkeypatch, spec, tamper, name):
     # each case scales a measured quantity, never the comparison it meets
@@ -529,6 +570,21 @@ def test_verify_fails_a_tampered_front_check_alone(tmp_path, monkeypatch, spec, 
     assert code == EXIT_THEOREM_FAIL
     report = read_report(tmp_path, "verify_report.json")
     assert [c["name"] for c in report["checks"] if c["passed"] is False] == [name]
+
+
+def test_verify_voids_the_spectral_checks_of_a_plane_point_loop(tmp_path):
+    # R = 1/k of a point loop is sampled against arc length, not the normal
+    # angle; read as a spectrum it gave a low-harmonic fraction of 0.408 at
+    # 1024, 4096 and 16384 samples on this convex loop, which failed verify
+    code = main(["verify", "--input", str(GOLDEN / "samples_spec.json"), "--out", str(tmp_path),
+                 "--samples", "1024"])
+    report = read_report(tmp_path, "verify_report.json")
+    assert code == EXIT_PASS, report["checks"]
+    by_name = {c["name"]: c for c in report["checks"]}
+    for name in ("closure_residual", "radius_deviation_spectrum", "sturm_hurwitz"):
+        assert by_name[name]["passed"] is None
+        assert by_name[name]["note"] == "not a support-built oval"
+    assert by_name["four_point"]["passed"] is True
 
 
 def test_verify_reports_honest_failure_at_low_resolution(tmp_path):
@@ -825,8 +881,12 @@ def test_counterexample_huge_radius_exits_3(tmp_path, capsys):
         # the disc SVGs, the curved CSV columns and the polar Green area
         ("sphere", ["--samples", "256"], "export_sphere"),
         ("hyperbolic", ["--samples", "256"], "export_hyperbolic"),
+        # point loops, one per geometry: 96 points of r = 1 + 0.05 cos 3u + 0.02 sin 4u
+        ("samples", ["--samples", "512"], "export_samples"),
+        ("sphere_samples", ["--samples", "512"], "export_sphere_samples"),
+        ("hyperboloid_samples", ["--samples", "512"], "export_hyperboloid_samples"),
     ],
-    ids=["oval", "sphere", "hyperbolic"],
+    ids=["oval", "sphere", "hyperbolic", "samples", "sphere-samples", "hyperboloid-samples"],
 )
 def test_export_matches_golden(tmp_path, spec, extra, stem):
     code = main(["export", "--input", str(GOLDEN / f"{spec}_spec.json"),

@@ -20,10 +20,10 @@ from ovalfront import (
     counterexample_verdict,
     critical_time,
     curvature_profile,
+    curve_from_points,
     defect_value,
     gauss_bonnet_residual,
     hyperbolic_circle,
-    hyperbolic_curve_from_points,
     mean_attainment_front_check,
     perturbed_hyperbolic_circle,
     propagate,
@@ -88,7 +88,7 @@ def test_gauss_bonnet_residual(wavy):
 
 
 def test_area_green_matches_stored(wavy):
-    area = HYPERBOLOID.green_area(wavy.points, wavy.center, wavy.L / wavy.n_samples)
+    area = HYPERBOLOID.green_area(wavy.points, wavy.anchor, wavy.L / wavy.n_samples)
     assert area == pytest.approx(wavy.A, abs=1e-12)
 
 
@@ -424,7 +424,7 @@ def test_spec_validation():
 
 
 def test_from_points_round_trip(wavy):
-    rebuilt = hyperbolic_curve_from_points(wavy.points[::2], n_samples=512)
+    rebuilt = curve_from_points(HYPERBOLIC, wavy.points[::2], n_samples=512)
     assert rebuilt.L == pytest.approx(wavy.L, rel=1e-6)
     assert rebuilt.A == pytest.approx(wavy.A, abs=1e-5)
 
@@ -432,7 +432,7 @@ def test_from_points_round_trip(wavy):
 def test_from_points_rejects_off_hyperboloid():
     src = hyperbolic_circle(0.7, n_samples=256)
     with pytest.raises(BadParametrizationError):
-        hyperbolic_curve_from_points(1.01 * src.points)
+        curve_from_points(HYPERBOLIC, 1.01 * src.points)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from ovalfront import (
     NotInHemisphereError,
     SPHERICAL,
     check_regular_embedded,
+    curve_from_points,
     defect_value,
     equatorial_front,
     gauss_bonnet_residual,
@@ -19,7 +20,6 @@ from ovalfront import (
     perturbed_sphere_circle,
     propagate,
     sphere_circle,
-    sphere_curve_from_points,
     spherical_area_fan,
     spherical_diameter,
     tennis_ball_check,
@@ -334,7 +334,7 @@ def test_seam_torsion_vanishes_with_sign_changes():
 
 def test_from_points_round_trip():
     src = perturbed_sphere_circle(0.7, [(3, 0.05, 0.4)], n_samples=512)
-    rebuilt = sphere_curve_from_points(src.points[::2], n_samples=512)
+    rebuilt = curve_from_points(SPHERICAL, src.points[::2], n_samples=512)
     assert rebuilt.L == pytest.approx(src.L, rel=1e-6)
     assert rebuilt.A == pytest.approx(src.A, abs=1e-6)
 
@@ -342,14 +342,14 @@ def test_from_points_round_trip():
 def test_from_points_rejects_off_sphere():
     src = sphere_circle(0.7, n_samples=256)
     with pytest.raises(BadParametrizationError):
-        sphere_curve_from_points(1.01 * src.points)
+        curve_from_points(SPHERICAL, 1.01 * src.points)
 
 
 def test_great_circle_loop_has_no_pole():
     u = np.linspace(0.0, TWO_PI, 128, endpoint=False)
     equator = np.column_stack([np.cos(u), np.sin(u), np.zeros_like(u)])
     with pytest.raises(NotInHemisphereError):
-        sphere_curve_from_points(equator, n_samples=256)
+        curve_from_points(SPHERICAL, equator, n_samples=256)
 
 
 def test_spec_validation():

@@ -11,8 +11,8 @@ from ovalfront import (
     SupportOval,
     build_oval,
     closure_residual,
+    curve_from_points,
     ellipse_oval,
-    euclidean_curve_from_points,
     unit_circle,
 )
 from ovalfront.errors import BadParametrizationError, DegenerateSamplingError
@@ -98,7 +98,7 @@ def test_closure_residual_fd_path_converges_at_order_four():
 def test_closure_residual_refuses_unsupported_curves():
     u = np.linspace(0, TWO_PI, 64, endpoint=False)
     loop = np.column_stack([1.2 * np.cos(u), np.sin(u)])
-    resampled = euclidean_curve_from_points(loop, n_samples=256)
+    resampled = curve_from_points("euclidean", loop, n_samples=256)
     with pytest.raises(ValueError):
         closure_residual(resampled)
 
@@ -124,7 +124,7 @@ def test_oval_from_support_matches_analytic_build():
 
 def test_euclidean_curve_from_points_round_trip():
     e = ellipse_oval(2.0, 1.0, n_samples=512)
-    rebuilt = euclidean_curve_from_points(e.points, n_samples=512)
+    rebuilt = curve_from_points("euclidean", e.points, n_samples=512)
     assert rebuilt.L == pytest.approx(e.L, abs=1e-7)
     assert rebuilt.A == pytest.approx(e.A, abs=1e-7)
 
@@ -132,7 +132,7 @@ def test_euclidean_curve_from_points_round_trip():
 def test_euclidean_curve_from_points_rejects_clockwise_loops():
     e = ellipse_oval(1.5, 1.0, n_samples=256)
     with pytest.raises(BadParametrizationError):
-        euclidean_curve_from_points(e.points[::-1], n_samples=256)
+        curve_from_points("euclidean", e.points[::-1], n_samples=256)
 
 
 X = st.floats(-1e3, 1e3, allow_nan=False)
