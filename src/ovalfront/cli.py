@@ -256,17 +256,23 @@ def cmd_analyze(args) -> int:
             "equidistant_like": int(np.sum(curve.curvature_class == EQUIDISTANT_LIKE)),
         }
 
-    # a plane curve's spectrum is that of its radius R = 1/k
-    poles = curve.geometry == EUCLIDEAN and not _convex(curve)
-    if poles:
-        report["note"] = "not convex: radius of curvature 1/k has poles; no spectrum written"
+    # a plane curve's spectrum is that of its radius R = 1/k against the normal
+    # angle, the grid of support builds only, as in verify's spectral checks
+    skip = None
+    if curve.geometry == EUCLIDEAN:
+        if not _convex(curve):
+            skip = "not convex: radius of curvature 1/k has poles"
+        elif curve.radius_fn is None:
+            skip = "not a support-built oval: R = 1/k is not sampled against the normal angle"
+    if skip is not None:
+        report["note"] = f"{skip}; no spectrum written"
 
     if "csv" in args.format and profile is not None:
         specio.write_profile_csv(out / "analyze_profile.csv", profile)
         if curve.geometry != EUCLIDEAN:
             sp = spectrum(np.asarray(curve.k) - float(np.mean(curve.k)))
             specio.write_spectrum_csv(out / "analyze_spectrum.csv", sp)
-        elif not poles:
+        elif skip is None:
             rp = radius_profile(curve)
             specio.write_spectrum_csv(out / "analyze_spectrum.csv", spectrum(rp.values - rp.mean))
         specio.write_curve_csv(out / "analyze_curve.csv", curve)
@@ -429,8 +435,8 @@ def _default_t_grid(curve):
 
 
 def _convex(curve) -> bool:
-    """min k > 0: what the four-point guarantee, its spectral form and R = 1/k need."""
-    return float(np.min(curve.k)) > 0.0
+    """Whether the four-point guarantee applies: min k above the space form's floor."""
+    return space_form(curve.geometry).convex(curve.k)
 
 
 def _verify_euclidean(curve, tol: float, t_values) -> _Suite:
@@ -463,29 +469,18 @@ def _verify_euclidean(curve, tol: float, t_values) -> _Suite:
         sp = spectrum(dev)
         top = float(np.max(sp.amplitudes))
         low = float(max(sp.amplitudes[0], sp.amplitudes[1]))
-        sturm = verify_sturm_hurwitz(dev)
-        suite.add(
-            "radius_deviation_spectrum",
-            bool(low < 1e-8 * top),
-            low_harmonic_fraction=low / top,
-        )
-        suite.add(
-            "sturm_hurwitz",
-            bool(sturm.passed and sturm.first_harmonic >= 2),
-            first_harmonic=sturm.first_harmonic,
-            sign_changes=sturm.sign_changes,
-        )
+        m, z = verify_sturm_hurwitz(dev)
+        suite.add("radius_deviation_spectrum", bool(low < 1e-8 * top),
+                  low_harmonic_fraction=low / top)
+        # the bound z >= 2m, and m >= 2: R - L/2pi of a closed curve has no first harmonic
+        suite.add("sturm_hurwitz", bool(z >= 2 * m and m >= 2), first_harmonic=m, sign_changes=z)
     else:
         suite.add("radius_deviation_spectrum", None, note=skip)
         suite.add("sturm_hurwitz", None, note=skip)
 
-    steiner = steiner_check(curve, t_values, tol=tol)
-    suite.add(
-        "steiner",
-        bool(steiner.passed),
-        max_rel_length=steiner.max_rel_length,
-        max_rel_area=steiner.max_rel_area,
-    )
+    rel_length, rel_area = steiner_check(curve, t_values)
+    suite.add("steiner", bool(rel_length < tol and rel_area < tol),
+              max_rel_length=rel_length, max_rel_area=rel_area)
 
     _add_front_checks(suite, curve, tol, t_values)
     _add_critical_front(suite, curve, tol, "critical_front", void=void)
@@ -500,44 +495,32 @@ def _verify_spherical(curve, tol: float, t_values) -> _Suite:
     _add_front_checks(suite, curve, tol, t_values, semigroup_times=(0.13, 0.21))
 
     if _convex(curve) and curve.pole is not None:
-        eq = equatorial_front(curve)
-        emb = check_regular_embedded(curve, eq.t)
-        ok = eq.area_gap < tol and emb.passed and (
-            eq.degenerate or eq.inflections >= 4
-        )
-        suite.add(
-            "equatorial_front",
-            bool(ok),
-            t=eq.t,
-            area_gap=eq.area_gap,
-            inflections=eq.inflections,
-            regular_margin=emb.regular_margin,
-            embedded_until=emb.t_embedded,
-        )
+        t, area_gap, inflections = equatorial_front(curve)
+        margin, embedded_until, certified = check_regular_embedded(curve, t)
+        # the front of a circle has no inflections to count
+        ok = area_gap < tol and certified and (inflections is None or inflections >= 4)
+        suite.add("equatorial_front", bool(ok), t=t, area_gap=area_gap, inflections=inflections,
+                  regular_margin=margin, embedded_until=embedded_until)
     else:
         suite.add("equatorial_front", None, note="needs a convex hemisphere curve")
 
     try:
-        torsion = total_torsion(curve)
+        integral, sign_changes = total_torsion(curve)
     except BadParametrizationError as exc:  # its stencil speed gate refuses coarse grids
         suite.add("total_torsion", None, note=str(exc))
     else:
-        if torsion.degenerate:
+        if sign_changes is None:
             suite.add("total_torsion", None, note="torsion identically zero")
         else:
-            suite.add(
-                "total_torsion",
-                bool(abs(torsion.integral) < max(tol, 1e-6) and torsion.sign_changes >= 4),
-                integral=torsion.integral,
-                sign_changes=torsion.sign_changes,
-            )
+            suite.add("total_torsion", bool(abs(integral) < max(tol, 1e-6) and sign_changes >= 4),
+                      integral=integral, sign_changes=sign_changes)
 
     if abs(curve.A - TWO_PI) <= tol:
-        tb = tennis_ball_check(curve, area_tol=tol)
-        if tb.degenerate:
+        inflections = tennis_ball_check(curve)
+        if inflections is None:
             suite.add("tennis_ball", None, note="great circle")
         else:
-            suite.add("tennis_ball", bool(tb.passed), inflections=tb.inflections)
+            suite.add("tennis_ball", bool(inflections >= 4), inflections=inflections)
     else:
         suite.add("tennis_ball", None, note="curve does not bisect the area")
     return suite
@@ -548,7 +531,7 @@ def _verify_hyperbolic(curve, tol: float, t_values) -> _Suite:
     gb = float(curve.gb_residual)
     suite.add("gauss_bonnet", bool(gb < max(tol, 1e-6)), residual=gb)
 
-    hc = curve.horocyclic_convex
+    hc = _convex(curve)
     suite.add("horocyclic_convexity", None, horocyclically_convex=hc,
               min_curvature=float(np.min(curve.k)))
 
@@ -589,9 +572,9 @@ def cmd_verify(args) -> int:
 
 def cmd_counterexample(args) -> int:
     out = _outdir(args)
-    threshold = counterexample_threshold()
+    r_star = counterexample_threshold()
     spec = RoundedSemicircleSpec(r=args.r, n_samples=args.samples or 4096)
-    verdict = counterexample_verdict(spec)
+    curve, verdict = counterexample_verdict(spec)
 
     sweep_r = list(np.linspace(0.25, 5.0, 20))
     sweep = [
@@ -603,32 +586,22 @@ def cmd_counterexample(args) -> int:
         for rv in sweep_r
     ]
 
-    expected = (
-        verdict.counterexample
-        if args.r > threshold.r_star
-        else not verdict.mean_below_coth
-    )
+    expected = verdict["counterexample"] if args.r > r_star else not verdict["mean_below_coth"]
     report = {
         "command": "counterexample",
-        "threshold_r": threshold.r_star,
-        "threshold_sign_changes": threshold.sign_changes,
+        "threshold_r": r_star,
+        # the threshold scan raises unless the gap changes sign exactly once
+        "threshold_sign_changes": 1,
         "r": args.r,
-        "mean_curvature": verdict.mean_curvature,
-        "coth_r": verdict.coth_r,
-        "mean_below_coth": verdict.mean_below_coth,
-        "attainment_count": verdict.attainment_count,
-        "attainment_params": verdict.attainment_params,
-        "convex": verdict.convex,
-        "horocyclically_convex": verdict.horocyclically_convex,
-        "counterexample": verdict.counterexample,
+        **verdict,
         "expected_outcome": bool(expected),
         "sweep": sweep,
     }
     specio.write_json_report(out / "counterexample_report.json", report)
     if "csv" in args.format:
-        specio.write_curve_csv(out / "counterexample_curve.csv", verdict.curve)
+        specio.write_curve_csv(out / "counterexample_curve.csv", curve)
     if "svg" in args.format:
-        specio.write_klein_svg(out / "counterexample_curve.svg", [verdict.curve])
+        specio.write_klein_svg(out / "counterexample_curve.svg", [curve])
     return EXIT_PASS if expected else EXIT_THEOREM_FAIL
 
 

@@ -177,9 +177,12 @@ class SpaceForm:
     ``cusp_onset(k)`` is the earliest t that
     :func:`~ovalfront.wavefront.propagate` accepts for a curve of curvature
     k: -inf, except on the hyperboloid for a curve that is not
-    horocyclically convex.  ``polar(r, phi)`` is the point at distance r and
-    angle phi from the model's centre (the north pole, the hyperboloid
-    vertex); the plane builds no polar curves.  ``project`` maps ambient
+    horocyclically convex.  ``floor`` is the curvature that k must exceed
+    everywhere for the four-point guarantee, which :meth:`convex` tests: 0,
+    and just above 1 (horocyclic convexity) on the hyperboloid.
+    ``polar(r, phi)`` is the point at distance r and angle phi from the
+    model's centre (the north pole, the hyperboloid vertex); the plane
+    builds no polar curves.  ``project`` maps ambient
     points onto the surface, and ``off_surface(points)`` is ``(deviation,
     rule)``: how far they lie off it, and what they must satisfy; the plane
     has neither.
@@ -194,9 +197,14 @@ class SpaceForm:
     critical_time: Callable[[float, float], float]
     finish: Callable
     cusp_onset: Callable[[np.ndarray], float] = lambda k: -np.inf
+    floor: float = 0.0
     polar: Optional[Callable] = None
     project: Optional[Callable] = None
     off_surface: Optional[Callable] = None
+
+    def convex(self, k: np.ndarray) -> bool:
+        """min k > ``floor``: whether the four-point guarantee applies; False when k holds NaN."""
+        return float(np.min(k)) > self.floor
 
     def norm(self, v: np.ndarray) -> np.ndarray:
         """Ambient length over the last axis; 0 for non-spacelike vectors."""

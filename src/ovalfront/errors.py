@@ -33,10 +33,6 @@ class NotInHemisphereError(OvalfrontError):
     """No open hemisphere contains the spherical curve."""
 
 
-class NotBisectingError(OvalfrontError):
-    """Spherical curve does not bisect the total area within tolerance."""
-
-
 class FrenetBreakdownError(OvalfrontError):
     """Space-curve curvature vanishes; the Frenet frame is undefined."""
 

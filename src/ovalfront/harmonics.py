@@ -30,13 +30,6 @@ class Spectrum:
     def amplitudes(self) -> np.ndarray:
         return np.hypot(self.cos_amps, self.sin_amps)
 
-@dataclass(frozen=True, eq=False)
-class SturmHurwitzReport:
-    first_harmonic: int
-    sign_changes: int
-    passed: bool
-    spectrum: Spectrum
-
 
 def spectrum(values) -> Spectrum:
     """Discrete real Fourier coefficients of uniformly spaced samples.
@@ -88,22 +81,18 @@ def count_sign_changes(values, tol: float = 0.0) -> int:
     return len(pairs)
 
 
-def verify_sturm_hurwitz(values) -> SturmHurwitzReport:
-    """Check the sign-change bound z >= 2m on centred periodic samples.
+def verify_sturm_hurwitz(values) -> tuple[int, int]:
+    """The two sides of the sign-change bound z >= 2m on centred periodic samples.
 
-    The sequence is centred on its own mean; m is the first nontrivial
-    harmonic of the centred spectrum and z the hysteresis sign-change
-    count, with a band of 1e-9 times the largest centred sample.  Errors
-    from the component steps (all-zero sequences and the like) propagate
-    unchanged.
+    Returns ``(m, z)``.  The sequence is centred on its own mean; m is the
+    first nontrivial harmonic of the centred spectrum and z the hysteresis
+    sign-change count, with a band of 1e-9 times the largest centred sample.
+    Errors from the component steps (all-zero sequences and the like)
+    propagate unchanged.
     """
     v = np.asarray(values, dtype=float)
     centred = v - v.mean()
-    sp = spectrum(centred)
-    m = first_nontrivial_harmonic(sp)
+    m = first_nontrivial_harmonic(spectrum(centred))
     if m is None:
         raise AllBelowToleranceError("no nontrivial harmonic in centred samples")
-    z = count_sign_changes(centred, tol=AMP_TOL_FACTOR * float(np.max(np.abs(centred))))
-    return SturmHurwitzReport(
-        first_harmonic=m, sign_changes=z, passed=z >= 2 * m, spectrum=sp
-    )
+    return m, count_sign_changes(centred, tol=AMP_TOL_FACTOR * float(np.max(np.abs(centred))))

@@ -102,7 +102,7 @@ class HyperbolicCurve(SampledCurve):
 
     @property
     def horocyclic_convex(self) -> bool:
-        return self.min_k > 1.0 + HOROCYCLIC_MARGIN
+        return HYPERBOLOID.convex(self.k)
 
     @property
     def curvature_class(self) -> np.ndarray:
@@ -137,7 +137,7 @@ def _cusp_onset(k: np.ndarray) -> float:
     cusp samples included).
     """
     top = float(np.max(k))
-    if np.min(k) > 1.0 + HOROCYCLIC_MARGIN or not top > 1.0:
+    if HYPERBOLOID.convex(k) or not top > 1.0:
         return -np.inf
     return -float(np.arctanh(1.0 / top))
 
@@ -184,6 +184,7 @@ HYPERBOLOID = SPACE_FORMS[HYPERBOLIC] = SpaceForm(
     critical_time=_collapse_time,
     finish=_finish_hyperbolic_curve,
     cusp_onset=_cusp_onset,
+    floor=1.0 + HOROCYCLIC_MARGIN,
     polar=lambda r, phi: np.column_stack(
         [np.cosh(r), np.sinh(r) * np.cos(phi), np.sinh(r) * np.sin(phi)]
     ),
@@ -536,17 +537,11 @@ def semicircle_mean_gap(r: float) -> float:
     return 1.0 / np.tanh(r) - semicircle_reference(r)[2]
 
 
-@dataclass(frozen=True, eq=False)
-class ThresholdReport:
-    r_star: float
-    sign_changes: int
-
-
-def counterexample_threshold() -> ThresholdReport:
-    """Locate the radius where the semicircle mean curvature crosses coth r.
+def counterexample_threshold() -> float:
+    """Locate the radius r* where the semicircle mean curvature crosses coth r.
 
     The sign change is found on a scan of 4096 radii in [0.05, 5] and
-    refined by brentq.
+    refined by brentq; a scan with other than one sign change raises.
     """
     rs = np.linspace(0.05, 5.0, 4096)
     gs = semicircle_mean_gap(rs)
@@ -555,30 +550,16 @@ def counterexample_threshold() -> ThresholdReport:
         raise OvalfrontError(f"expected one threshold crossing, found {len(flips)}")
     i = int(flips[0])
     # the gap is finite for every r > 0, so brentq needs no NaN guard here
-    r_star = brentq(semicircle_mean_gap, rs[i], rs[i + 1], 1e-12, *BRENTQ_DEFAULTS)
-    return ThresholdReport(r_star=float(r_star), sign_changes=1)
+    return float(brentq(semicircle_mean_gap, rs[i], rs[i + 1], 1e-12, *BRENTQ_DEFAULTS))
 
 
-@dataclass(frozen=True, eq=False)
-class CounterexampleReport:
-    r: float
-    mean_curvature: float
-    coth_r: float
-    mean_below_coth: bool
-    convex: bool
-    horocyclically_convex: bool
-    attainment_count: int
-    attainment_params: np.ndarray
-    counterexample: bool
-    curve: HyperbolicCurve
-
-
-def counterexample_verdict(spec: RoundedSemicircleSpec) -> CounterexampleReport:
+def counterexample_verdict(spec: RoundedSemicircleSpec) -> tuple[HyperbolicCurve, dict]:
     """Build the rounded semicircle and count mean-curvature attainments.
 
     Past the threshold radius the mean curvature falls below coth r and,
     with this smoothing profile, is attained exactly twice (once on each
     corner ramp): a convex curve where the four-point conclusion fails.
+    Returns the curve and the fields of the counterexample report.
     """
     curve = build_rounded_semicircle(spec)
     profile = curvature_profile(curve)
@@ -587,15 +568,13 @@ def counterexample_verdict(spec: RoundedSemicircleSpec) -> CounterexampleReport:
     count = len(profile.crossing_params)
     below = bool(kbar < coth_r)
     convex = bool(curve.min_k > 0.0)
-    return CounterexampleReport(
-        r=spec.r,
-        mean_curvature=float(kbar),
-        coth_r=float(coth_r),
-        mean_below_coth=below,
-        convex=convex,
-        horocyclically_convex=curve.horocyclic_convex,
-        attainment_count=count,
-        attainment_params=profile.crossing_params,
-        counterexample=below and convex and count < 4,
-        curve=curve,
-    )
+    return curve, {
+        "mean_curvature": float(kbar),
+        "coth_r": float(coth_r),
+        "mean_below_coth": below,
+        "attainment_count": count,
+        "attainment_params": profile.crossing_params,
+        "convex": convex,
+        "horocyclically_convex": curve.horocyclic_convex,
+        "counterexample": below and convex and count < 4,
+    }

@@ -25,9 +25,7 @@ from .curves import (
     SPEED_TOL,
     SPHERICAL,
     TWO_PI,
-    CrossingReport,
     CurvatureProfile,
-    Front,
     SampledCurve,
     SpaceForm,
     count_mean_crossings,
@@ -42,7 +40,6 @@ from .errors import (
     BadParametrizationError,
     FrenetBreakdownError,
     InvalidSpecError,
-    NotBisectingError,
     NotInHemisphereError,
     NumericalFailureError,
 )
@@ -251,17 +248,7 @@ def tennis_seam(beta: float = 0.25, n_samples: int = 2048) -> SphereCurve:
 # fronts
 
 
-@dataclass(frozen=True, eq=False)
-class EquatorialReport:
-    front: Front
-    t: float
-    area_gap: float
-    degenerate: bool
-    inflections: Optional[int]
-    crossing_params: np.ndarray
-
-
-def _inflections(k, param, period, fn) -> Optional[CrossingReport]:
+def _inflections(k, param, period, fn) -> Optional[int]:
     """Zero crossings of a geodesic curvature profile; ``None`` when max|k| <= 1e-6.
 
     The crossing band is relative to the profile amplitude, so a pure-noise
@@ -272,14 +259,16 @@ def _inflections(k, param, period, fn) -> Optional[CrossingReport]:
         return None
     return count_mean_crossings(
         CurvatureProfile(values=k, mean=0.0, param=param, period=period, fn=fn)
-    )
+    ).count
 
 
-def equatorial_front(curve: SphereCurve) -> EquatorialReport:
+def equatorial_front(curve: SphereCurve) -> tuple[float, float, Optional[int]]:
     """Propagate to t = atan((2 pi - A)/L), where the front bisects area.
 
     At that time the mean front curvature vanishes, so inflections of the
     front are exactly the mean-curvature attainment points of the base.
+    Returns ``(t, |A_t - 2 pi|, inflections)``, the inflections ``None``
+    when the front's curvature vanishes identically (the front of a circle).
     """
     if curve.A >= TWO_PI:
         raise NotInHemisphereError("base curve already encloses half the sphere")
@@ -288,34 +277,17 @@ def equatorial_front(curve: SphereCurve) -> EquatorialReport:
     kf = front.k
     if np.any(~np.isfinite(kf)):
         raise BadParametrizationError("equatorial front is not regular")
-    report = _inflections(kf, front.s, front.period, front.curvature_fn)
-    return EquatorialReport(
-        front=front,
-        t=t,
-        area_gap=abs(front.area - TWO_PI),
-        degenerate=report is None,
-        inflections=None if report is None else report.count,
-        crossing_params=np.empty(0) if report is None else report.crossings,
-    )
+    return t, abs(front.area - TWO_PI), _inflections(kf, front.s, front.period, front.curvature_fn)
 
 
-@dataclass(frozen=True, eq=False)
-class RegularEmbeddedReport:
-    t: float
-    regular_margin: float
-    diameter: float
-    t_embedded: float
-    regular: bool
-    embedded: bool
-    passed: bool
-
-
-def check_regular_embedded(curve: SphereCurve, t: float) -> RegularEmbeddedReport:
+def check_regular_embedded(curve: SphereCurve, t: float) -> tuple[float, float, bool]:
     """Certify that the front at time t is regular and embedded.
 
-    Regularity: cos t + k_g sin t keeps one sign.  Embeddedness: the first
-    self-tangency of the distance flow cannot occur before
-    t_1 = pi - d/2 > pi/2, with d the spherical diameter of the base.
+    Regularity: cos t + k_g sin t keeps one sign, and its minimum is the
+    margin.  Embeddedness: the first self-tangency of the distance flow
+    cannot occur before t_1 = pi - d/2 > pi/2, with d the spherical diameter
+    of the base.  Returns ``(margin, t_1, certified)``, certified when the
+    margin is positive, d < pi and t < t_1.
     """
     if curve.pole is None:
         raise NotInHemisphereError("curve has no hemisphere witness")
@@ -324,54 +296,16 @@ def check_regular_embedded(curve: SphereCurve, t: float) -> RegularEmbeddedRepor
     margin = float(np.min(np.cos(t) + np.sin(t) * curve.k))
     d = curve.diameter
     t1 = np.pi - d / 2.0
-    regular = margin > 0.0
-    embedded = d < np.pi and t < t1
-    return RegularEmbeddedReport(
-        t=t,
-        regular_margin=margin,
-        diameter=d,
-        t_embedded=t1,
-        regular=regular,
-        embedded=embedded,
-        passed=regular and embedded,
-    )
+    return margin, t1, margin > 0.0 and d < np.pi and t < t1
 
 
-@dataclass(frozen=True, eq=False)
-class TennisBallReport:
-    degenerate: bool
-    inflections: Optional[int]
-    crossing_params: np.ndarray
-    passed: Optional[bool]
+def tennis_ball_check(curve: SphereCurve) -> Optional[int]:
+    """Inflections of a curve, which has at least four when it bisects the area.
 
-
-def tennis_ball_check(curve: SphereCurve, area_tol: float = 1e-6) -> TennisBallReport:
-    """Area-bisecting curves must have at least four inflections.
-
-    Raises :class:`NotBisectingError` unless |A - 2 pi| <= area_tol.
-    A great circle (k_g identically 0) is reported as degenerate, never as
-    a pass or a fail.
+    ``None`` for a great circle (k_g identically 0), which is neither a pass
+    nor a fail.
     """
-    if abs(curve.A - TWO_PI) > area_tol:
-        raise NotBisectingError(f"|A - 2pi| = {abs(curve.A - TWO_PI):.3g} > {area_tol:.3g}")
-    report = _inflections(curve.k, curve.s, curve.L, curve.curv_fn)
-    if report is None:
-        return TennisBallReport(
-            degenerate=True, inflections=None, crossing_params=np.empty(0), passed=None
-        )
-    return TennisBallReport(
-        degenerate=False,
-        inflections=report.count,
-        crossing_params=report.crossings,
-        passed=report.count >= 4,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class TorsionReport:
-    integral: float
-    degenerate: bool
-    sign_changes: Optional[int]
+    return _inflections(curve.k, curve.s, curve.L, curve.curv_fn)
 
 
 def torsion(curve: SphereCurve) -> np.ndarray:
@@ -394,19 +328,19 @@ def torsion(curve: SphereCurve) -> np.ndarray:
     return np.einsum("ij,ij->i", binormal, d3) / kappa_sq
 
 
-def total_torsion(curve: SphereCurve) -> TorsionReport:
+def total_torsion(curve: SphereCurve) -> tuple[float, Optional[int]]:
     """Total torsion (Frenet quadrature of :func:`torsion`) and its sign changes.
 
     Spherical curves have vanishing total torsion; simple ones change
     torsion sign at least four times.  Circles, the planar curves, have
-    torsion identically zero and are reported as degenerate; planarity is
-    read off the samples, since the stencil torsion's roundoff grows like
-    eps/h^3.
+    torsion identically zero, and their sign-change count is ``None``;
+    planarity is read off the samples, since the stencil torsion's roundoff
+    grows like eps/h^3.
     """
     tau = torsion(curve)
     integral = float(np.sum(tau) * (curve.L / curve.n_samples))
     sigma = np.linalg.svd(curve.points - curve.points.mean(axis=0), compute_uv=False)
     if sigma[2] <= PLANARITY_TOL * sigma[0]:
-        return TorsionReport(integral=integral, degenerate=True, sign_changes=None)
+        return integral, None
     pairs, _ = kernels.transitions(tau, 1e-7 * float(np.max(np.abs(tau))))
-    return TorsionReport(integral=integral, degenerate=False, sign_changes=len(pairs))
+    return integral, len(pairs)

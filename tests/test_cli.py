@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ovalfront import _kernels as kernels
-from ovalfront import cli, curves, hyperbolic, specio, support, wavefront
+from ovalfront import cli, curves, harmonics, hyperbolic, specio, sphere, support, wavefront
 from ovalfront.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NUMERICAL_FAILURE,
@@ -473,6 +473,22 @@ def test_analyze_writes_no_spectrum_for_a_nonconvex_loop(tmp_path):
     assert report["attainment_count"] == 4
 
 
+def test_analyze_writes_no_spectrum_for_a_plane_point_loop(tmp_path):
+    # R = 1/k of a point loop is sampled against arc length, not the normal
+    # angle; its spectrum read an n = 0 row of 0.227 and an n = 1 magnitude
+    # of 0.274 on this convex loop, where a support-built oval reads 0 in both
+    code = main(["analyze", "--input", str(GOLDEN / "samples_spec.json"), "--out", str(tmp_path),
+                 "--samples", "1024", "--format", "csv,json"])
+    assert code == EXIT_PASS
+    assert not (tmp_path / "analyze_spectrum.csv").exists()
+    for name in ("analyze_profile.csv", "analyze_curve.csv"):
+        assert (tmp_path / name).exists(), name
+    report = read_report(tmp_path, "analyze_report.json")
+    assert report["min_curvature"] > 0.0
+    assert report["note"] == ("not a support-built oval: R = 1/k is not sampled against the "
+                              "normal angle; no spectrum written")
+
+
 @pytest.mark.parametrize("spec, name", [("oval", "critical_front"),
                                         ("hyperbolic", "collapse_front")])
 def test_verify_fails_a_front_off_the_critical_time(tmp_path, monkeypatch, spec, name):
@@ -550,6 +566,89 @@ def _scale_hyperbolic_turning(monkeypatch):
     monkeypatch.setattr(hyperbolic, "_finish_hyperbolic_curve", scaled)
 
 
+def _raise_first_harmonic(monkeypatch):
+    # the spectrum check alone reads cli's spectrum; Sturm-Hurwitz takes its own
+    measured = harmonics.spectrum
+
+    def raised(values):
+        sp = measured(values)
+        cos_amps = sp.cos_amps.copy()
+        cos_amps[1] += 1e-6 * float(np.max(sp.amplitudes))
+        return dataclasses.replace(sp, cos_amps=cos_amps)
+
+    monkeypatch.setattr(cli, "spectrum", raised)
+
+
+def _halve_sign_changes(monkeypatch):
+    count = harmonics.count_sign_changes
+    monkeypatch.setattr(harmonics, "count_sign_changes",
+                        lambda values, tol=0.0: count(values, tol) // 2)
+
+
+def _halve_first_harmonic(monkeypatch):
+    first = harmonics.first_nontrivial_harmonic
+    monkeypatch.setattr(harmonics, "first_nontrivial_harmonic", lambda sp: first(sp) // 2)
+
+
+def _scale_equatorial_area(monkeypatch):
+    # the equatorial front is the only front the sphere module builds itself
+    propagate = sphere.propagate
+
+    def scaled(curve, t):
+        front = propagate(curve, t)
+        object.__setattr__(front, "area", front.area * (1.0 + 1e-5))
+        return front
+
+    monkeypatch.setattr(sphere, "propagate", scaled)
+
+
+def _double_diameter(monkeypatch):
+    # the embedding certificate alone reads the diameter: 1.8 doubled exceeds pi
+    diameter = sphere.spherical_diameter
+    monkeypatch.setattr(sphere, "spherical_diameter", lambda points: 2.0 * diameter(points))
+
+
+def _fold_torsion(monkeypatch):
+    # one-signed and 1e-9 as large: the integral stays small, the sign changes go
+    torsion = sphere.torsion
+    monkeypatch.setattr(sphere, "torsion", lambda curve: 1e-9 * np.abs(torsion(curve)))
+
+
+def _offset_torsion(monkeypatch):
+    # torsion offset by 1e-6 per unit length: total torsion about 4e-6 on this curve
+    torsion = sphere.torsion
+    monkeypatch.setattr(sphere, "torsion", lambda curve: torsion(curve) + 1e-6)
+
+
+def _drop_inflections(monkeypatch):
+    # on the tennis seam the equatorial check is void, and on a convex curve
+    # the tennis ball is, so either way one inflection count is cut
+    count = curves.count_mean_crossings
+
+    def two_kept(profile):
+        full = count(profile)
+        return dataclasses.replace(full, count=2, crossings=full.crossings[:2])
+
+    monkeypatch.setattr(sphere, "count_mean_crossings", two_kept)
+
+
+def _scale_front_curvature(monkeypatch):
+    # the curved lemma reads each front's measured curvature at the attainment parameters
+    measured = curves.Front.curvature_fn.func
+
+    def scaled(front):
+        fn = measured(front)
+        return lambda x: fn(x) * (1.0 + 1e-5)
+
+    monkeypatch.setattr(curves.Front, "curvature_fn", property(scaled))
+
+
+SPHERE_CIRCLE = {"geometry": "spherical", "representation": "perturbed_circle", "rho": 0.9,
+                 "harmonics": []}
+TENNIS_SEAM = {"geometry": "spherical", "representation": "perturbed_circle", "rho": np.pi / 2,
+               "harmonics": [[2, 0.25, -np.pi / 2]]}
+
+
 @pytest.mark.parametrize(
     "spec, tamper, name",
     [("sphere", _scale_front_of_front, "semigroup"),
@@ -559,14 +658,34 @@ def _scale_hyperbolic_turning(monkeypatch):
      ("oval", _offset_closure_residual, "closure_residual"),
      ("oval", _drop_attainment_points, "four_point"),
      ("sphere", _scale_sphere_turning, "gauss_bonnet"),
-     ("hyperbolic", _scale_hyperbolic_turning, "gauss_bonnet")],
+     ("hyperbolic", _scale_hyperbolic_turning, "gauss_bonnet"),
+     ("oval", _raise_first_harmonic, "radius_deviation_spectrum"),
+     ("oval", _halve_sign_changes, "sturm_hurwitz"),
+     ("oval", _halve_first_harmonic, "sturm_hurwitz"),
+     (SPHERE_CIRCLE, _scale_equatorial_area, "equatorial_front"),
+     (SPHERE_CIRCLE, _double_diameter, "equatorial_front"),
+     (CONVEX_SPHERE, _drop_inflections, "equatorial_front"),
+     ("sphere", _offset_torsion, "total_torsion"),
+     ("sphere", _fold_torsion, "total_torsion"),
+     (TENNIS_SEAM, _drop_inflections, "tennis_ball"),
+     ("sphere", _scale_front_curvature, "front_mean_curvature_lemma"),
+     ("hyperbolic", _scale_front_curvature, "front_mean_curvature_lemma")],
     ids=["sphere-semigroup", "hyperbolic-semigroup", "plane-steiner", "plane-lemma",
-         "plane-closure", "plane-four-point", "sphere-gauss-bonnet", "hyperbolic-gauss-bonnet"],
+         "plane-closure", "plane-four-point", "sphere-gauss-bonnet", "hyperbolic-gauss-bonnet",
+         "plane-spectrum", "plane-sturm-hurwitz", "plane-sturm-hurwitz-harmonic",
+         "sphere-equatorial", "sphere-equatorial-embedding", "sphere-equatorial-inflections",
+         "sphere-torsion", "sphere-torsion-sign-changes", "sphere-tennis-ball", "sphere-lemma",
+         "hyperbolic-lemma"],
 )
 def test_verify_fails_a_tampered_front_check_alone(tmp_path, monkeypatch, spec, tamper, name):
-    # each case scales a measured quantity, never the comparison it meets
+    # each case scales a measured quantity, never the comparison it meets; an
+    # inline spec runs at 1024 samples, where it passes untampered
+    if isinstance(spec, dict):
+        argv = ["--input", write_spec(tmp_path, spec), "--samples", "1024"]
+    else:
+        argv = ["--input", str(GOLDEN / f"{spec}_spec.json")]
     tamper(monkeypatch)
-    code = main(["verify", "--input", str(GOLDEN / f"{spec}_spec.json"), "--out", str(tmp_path)])
+    code = main(["verify", *argv, "--out", str(tmp_path)])
     assert code == EXIT_THEOREM_FAIL
     report = read_report(tmp_path, "verify_report.json")
     assert [c["name"] for c in report["checks"] if c["passed"] is False] == [name]

@@ -351,29 +351,27 @@ def test_semicircle_near_sharp_reference(semicircle_r2):
 
 
 def test_counterexample_verdict_at_r2(semicircle_r2):
-    report = counterexample_verdict(RoundedSemicircleSpec(r=2.0))
-    assert report.coth_r == pytest.approx(COTH_2, abs=1e-12)
-    assert report.mean_below_coth
-    assert report.convex
-    assert not report.horocyclically_convex
-    assert report.attainment_count == 2
-    assert report.counterexample
+    curve, report = counterexample_verdict(RoundedSemicircleSpec(r=2.0))
+    assert report["coth_r"] == pytest.approx(COTH_2, abs=1e-12)
+    assert report["mean_below_coth"]
+    assert report["convex"]
+    assert not report["horocyclically_convex"]
+    assert report["attainment_count"] == 2
+    assert report["counterexample"]
     # one attainment on each corner ramp, mirror images of each other
-    p1, p2 = np.sort(report.attainment_params)
-    assert p1 + p2 == pytest.approx(report.curve.L, abs=1e-6)
+    p1, p2 = np.sort(report["attainment_params"])
+    assert p1 + p2 == pytest.approx(curve.L, abs=1e-6)
 
 
 def test_no_counterexample_below_threshold():
-    report = counterexample_verdict(RoundedSemicircleSpec(r=0.5, n_samples=1024))
-    assert not report.mean_below_coth
-    assert report.attainment_count >= 4
-    assert not report.counterexample
+    _, report = counterexample_verdict(RoundedSemicircleSpec(r=0.5, n_samples=1024))
+    assert not report["mean_below_coth"]
+    assert report["attainment_count"] >= 4
+    assert not report["counterexample"]
 
 
 def test_threshold_radius():
-    report = counterexample_threshold()
-    assert report.r_star == pytest.approx(THRESHOLD_R, abs=1e-9)
-    assert report.sign_changes == 1
+    assert counterexample_threshold() == pytest.approx(THRESHOLD_R, abs=1e-9)
     assert semicircle_mean_gap(0.5) < 0.0 < semicircle_mean_gap(2.0)
 
 

@@ -98,7 +98,7 @@ def test_threshold_is_scipy_brentqs_bit_for_bit():
     gs = semicircle_mean_gap(rs)
     [i] = np.flatnonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)
     expected = scipy.optimize.brentq(semicircle_mean_gap, rs[i], rs[i + 1], xtol=1e-12)
-    assert same_bits(counterexample_threshold().r_star, expected)
+    assert same_bits(counterexample_threshold(), expected)
 
 
 def _error(call):

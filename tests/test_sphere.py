@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ovalfront import (
     BadParametrizationError,
     InvalidSpecError,
-    NotBisectingError,
     NotInHemisphereError,
     SPHERICAL,
     check_regular_embedded,
@@ -229,19 +228,17 @@ def test_front_defect_is_invariant():
 
 def test_equatorial_front_of_circle_degenerate():
     rho = 0.5
-    report = equatorial_front(sphere_circle(rho))
-    assert report.t == pytest.approx(np.pi / 2 - rho, abs=1e-12)
-    assert report.degenerate
-    assert report.area_gap < 1e-9
+    t, area_gap, inflections = equatorial_front(sphere_circle(rho))
+    assert t == pytest.approx(np.pi / 2 - rho, abs=1e-12)
+    assert inflections is None
+    assert area_gap < 1e-9
 
 
 def test_equatorial_front_inflections():
     c = perturbed_sphere_circle(0.7, [(3, 0.04, 0.4), (2, 0.03, 1.1)], n_samples=1024)
-    report = equatorial_front(c)
-    assert report.area_gap < 1e-8
-    assert not report.degenerate
-    assert report.inflections >= 4
-    assert len(report.crossing_params) == report.inflections
+    _, area_gap, inflections = equatorial_front(c)
+    assert area_gap < 1e-8
+    assert inflections >= 4
 
 
 def test_equatorial_front_needs_hemisphere():
@@ -262,11 +259,11 @@ def test_mean_attainment_under_propagation():
 
 def test_check_regular_embedded_passes_for_small_circle():
     c = sphere_circle(0.6)
-    report = check_regular_embedded(c, 0.3)
-    assert report.regular and report.embedded and report.passed
-    assert report.regular_margin > 0.0
-    assert report.diameter == pytest.approx(1.2, abs=1e-6)
-    assert report.t_embedded > np.pi / 2
+    margin, t_embedded, certified = check_regular_embedded(c, 0.3)
+    assert certified
+    assert margin > 0.0
+    assert c.diameter == pytest.approx(1.2, abs=1e-6)
+    assert t_embedded == pytest.approx(np.pi - 0.6, abs=1e-6)
 
 
 def test_check_regular_embedded_validates_time():
@@ -288,44 +285,37 @@ def test_check_regular_embedded_needs_witness():
 def test_seam_bisects_and_has_four_inflections():
     seam = tennis_seam(0.25, n_samples=2048)
     assert abs(seam.A - TWO_PI) < 1e-9
-    report = tennis_ball_check(seam)
-    assert not report.degenerate
-    assert report.inflections == 4
-    assert report.passed
+    assert tennis_ball_check(seam) == 4
 
 
-def test_tennis_ball_check_rejects_nonbisecting():
-    with pytest.raises(NotBisectingError):
-        tennis_ball_check(sphere_circle(0.8))
+def test_tennis_ball_check_counts_a_latitude_without_judging_bisection():
+    # whether the curve bisects the area is the verify suite's call; a
+    # latitude circle, which does not, has no inflection
+    assert tennis_ball_check(sphere_circle(0.8)) == 0
 
 
 def test_tennis_ball_check_great_circle_degenerate():
-    report = tennis_ball_check(sphere_circle(np.pi / 2))
-    assert report.degenerate
-    assert report.passed is None
-    assert report.inflections is None
+    assert tennis_ball_check(sphere_circle(np.pi / 2)) is None
 
 
 def test_latitude_torsion_degenerate():
-    report = total_torsion(sphere_circle(0.8))
-    assert report.degenerate
-    assert abs(report.integral) < 1e-8
+    integral, sign_changes = total_torsion(sphere_circle(0.8))
+    assert sign_changes is None
+    assert abs(integral) < 1e-8
 
 
 @pytest.mark.parametrize("n", [4096, 8192])
 def test_latitude_torsion_degenerate_on_fine_grids(n):
     # the stencil torsion of a circle is roundoff of size eps/h^3 here, which
     # must not be mistaken for torsion with no sign changes
-    report = total_torsion(sphere_circle(0.9, n_samples=n))
-    assert report.degenerate
-    assert report.sign_changes is None
+    _, sign_changes = total_torsion(sphere_circle(0.9, n_samples=n))
+    assert sign_changes is None
 
 
 def test_seam_torsion_vanishes_with_sign_changes():
-    report = total_torsion(tennis_seam(0.25, n_samples=2048))
-    assert not report.degenerate
-    assert abs(report.integral) < 1e-9
-    assert report.sign_changes >= 4
+    integral, sign_changes = total_torsion(tennis_seam(0.25, n_samples=2048))
+    assert abs(integral) < 1e-9
+    assert sign_changes >= 4
 
 
 # ---------------------------------------------------------------------------

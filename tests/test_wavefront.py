@@ -58,13 +58,9 @@ def test_inward_circle_front_past_center_flips_orientation():
 def test_steiner_polynomials_on_ellipse():
     e = ellipse_oval(2.0, 1.0, n_samples=2048)
     ts = np.arange(-0.6, 1.01, 0.2)
-    rep = steiner_check(e, ts)
-    assert rep.passed
-    assert rep.max_rel_length < 1e-9
-    assert rep.max_rel_area < 1e-9
-    # dL/dt = 2 pi and dA/dt = L_t over the t grid
-    assert rep.max_dlength_err < 1e-6
-    assert rep.max_darea_err < 1e-2  # second-order FD on a parabola varies
+    max_rel_length, max_rel_area = steiner_check(e, ts)
+    assert max_rel_length < 1e-9
+    assert max_rel_area < 1e-9
 
 
 def test_front_develops_cusps_past_min_radius(wavy_oval):
